@@ -9,7 +9,7 @@ GO ?= go
 # lock-light CEP event ring.
 RACE_PKGS := ./internal/watchdog ./internal/coord ./internal/clock ./internal/gauge ./internal/wdobs ./internal/recovery ./internal/campaign ./internal/campaign/meshscale ./internal/wdruntime ./internal/faultinject ./internal/wdmesh ./internal/wdmesh/wire ./internal/wdcep ./internal/autowatchdog/testmine ./internal/supervise ./internal/sdnotify ./internal/kvs ./internal/kvsload
 
-.PHONY: build test vet lint race smoke mesh-smoke mesh-bench cep-smoke super-smoke cep-bench kvs-bench gen-smoke ablation check golden
+.PHONY: build test vet lint race kvs-commit-stress smoke mesh-smoke mesh-bench cep-smoke super-smoke cep-bench kvs-bench gen-smoke ablation check golden
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ lint:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# kvs-commit-stress repeats the kvs commit-ordering tests under the race
+# detector: they assert orderings between a connection's reader, its writer
+# and the group-commit leader, and one pass of a race proves little.
+kvs-commit-stress:
+	$(GO) test -race -count=10 -run 'Commit|GroupCommit|Pipeline' ./internal/kvs
 
 # smoke runs short seeded fault-injection campaigns against every substrate.
 # The synth campaign is virtual-clock (instant, bit-deterministic from the
@@ -87,7 +93,8 @@ cep-bench:
 
 # kvs-bench regenerates the kvs hot-path perf verdict: paired watchdog-off
 # and watchdog-on wdload runs at saturation (64 pipelined connections,
-# 1M+ total ops, durable group-commit writes). The run fails if watchdog
+# 1M+ total ops, both arms pinned to SyncNone — the CPU-bound arm; the
+# fsync-bound arm is benchmark/'s kvs_write_durable). The run fails if watchdog
 # overhead on throughput exceeds 5% or the on-arm drops below the floor.
 kvs-bench:
 	$(GO) run ./cmd/wdbench -exp kvsload -kvs-out BENCH_kvs.json
@@ -120,4 +127,4 @@ golden:
 	$(GO) test ./internal/autowatchdog -run Golden -update
 	$(GO) test ./internal/autowatchdog/testmine -run Golden -update
 
-check: build vet lint test race smoke mesh-smoke mesh-bench cep-smoke super-smoke gen-smoke cep-bench kvs-bench
+check: build vet lint test race kvs-commit-stress smoke mesh-smoke mesh-bench cep-smoke super-smoke gen-smoke cep-bench kvs-bench

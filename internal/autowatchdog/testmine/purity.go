@@ -245,10 +245,13 @@ func (w *purityWalker) pkgCall(qual, name string) (bool, string) {
 }
 
 // exactAllow covers benign instrumentation read paths legitimately perform.
+// Add is Inc by another amount: a metric counter, or the atomic reader count
+// a read path pins an immutable snapshot with (kvs table versions) — the
+// "add" deny prefix below still catches AddChecker, AddWatch and the like.
 var exactAllow = map[string]bool{
 	"Lock": true, "Unlock": true, "RLock": true, "RUnlock": true,
 	"TryLock": true, "TryRLock": true,
-	"Inc": true, "Observe": true,
+	"Inc": true, "Add": true, "Observe": true,
 	"Error": true, "Err": true, "String": true, "Len": true, "Cap": true,
 }
 

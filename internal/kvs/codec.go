@@ -35,16 +35,27 @@ type record struct {
 
 // encodeRecord renders r as: op byte | uvarint klen | key | uvarint vlen | value.
 func encodeRecord(r record) []byte {
+	buf, _ := encodeOwned(r)
+	return buf
+}
+
+// encodeOwned is encodeRecord that also returns r with key and value
+// re-pointed into the encoded payload. The group committer queues that
+// copy: the caller's key and value may sit in a connection's read buffer,
+// which is reused as soon as the reader moves on to the next request.
+func encodeOwned(r record) ([]byte, record) {
 	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(r.key)+len(r.value))
 	buf = append(buf, r.op)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(r.key)))
-	buf = append(buf, tmp[:n]...)
+	buf = binary.AppendUvarint(buf, uint64(len(r.key)))
 	buf = append(buf, r.key...)
-	n = binary.PutUvarint(tmp[:], uint64(len(r.value)))
-	buf = append(buf, tmp[:n]...)
+	keyEnd := len(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(r.value)))
 	buf = append(buf, r.value...)
-	return buf
+	return buf, record{
+		op:    r.op,
+		key:   buf[keyEnd-len(r.key) : keyEnd : keyEnd],
+		value: buf[len(buf)-len(r.value):],
+	}
 }
 
 // errBadRecord is returned when a record fails to decode.

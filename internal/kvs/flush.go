@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"gowatchdog/internal/memtable"
 	"gowatchdog/internal/sstable"
@@ -29,16 +30,18 @@ func (s *Store) FlushPartition(i int, force bool) error {
 	if p.dir == "" {
 		return nil
 	}
-	// The write gate excludes mutations for the whole flush, so the memtable
-	// drain and WAL reset can never interleave with an
-	// appended-but-unpublished group commit (lock order: writeGate, mu).
-	p.writeGate.Lock()
-	defer p.writeGate.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !force && p.mem.ApproxBytes() < s.cfg.FlushThresholdBytes {
+	if !force && p.memBytes() < s.cfg.FlushThresholdBytes {
 		return nil
 	}
+	// The write gate excludes WAL appends for the whole flush, and draining
+	// the committer behind it publishes (or fails) every record already
+	// appended, so the memtable snapshot and the WAL reset can never
+	// interleave with an appended-but-unpublished group commit.
+	p.writeGate.Lock()
+	defer p.writeGate.Unlock()
+	s.drainCommits(p)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	entries := p.mem.Entries()
 	if len(entries) == 0 {
 		return nil
@@ -69,17 +72,17 @@ func (s *Store) FlushPartition(i int, force bool) error {
 	if err != nil {
 		return fmt.Errorf("flush p%d reopen: %w", p.id, err)
 	}
-	p.tables = append([]*sstable.Reader{rdr}, p.tables...)
+	tables := append([]*sstable.Reader{rdr}, p.tables.tables...)
+	p.installTables(tables, nil)
 	p.nextID++
 	if p.log != nil {
 		if err := p.log.Reset(); err != nil {
 			return fmt.Errorf("flush p%d wal reset: %w", p.id, err)
 		}
-		p.resetCommitWatermarks(0)
 	}
 	p.mem = memtable.New()
 	s.mets.Counter("kvs.flushes").Inc()
-	s.tableGauges[p.id].Set(float64(len(p.tables)))
+	s.tableGauges[p.id].Set(float64(len(tables)))
 	s.memBytesGauges[p.id].Set(0)
 	return nil
 }
@@ -120,8 +123,11 @@ func (s *Store) CompactPartition(i int) error {
 	if p.dir == "" {
 		return nil
 	}
+	// Every compaction tick also closes what earlier ones dropped while a
+	// reader still held it.
+	defer p.reapTables(false)
 	p.mu.Lock()
-	if p.compacting || len(p.tables) < s.cfg.CompactionMinTables {
+	if p.compacting || len(p.tables.tables) < s.cfg.CompactionMinTables {
 		p.mu.Unlock()
 		return nil
 	}
@@ -134,7 +140,12 @@ func (s *Store) CompactPartition(i int) error {
 		p.compacting = false
 		p.mu.Unlock()
 	}()
-	victims := append([]*sstable.Reader(nil), p.tables...)
+	// Reading the stack keeps the victims open while they are merged,
+	// whatever a concurrent repair drops.
+	base := p.tables
+	base.acquire()
+	defer base.release() // runs before the reap above
+	victims := base.tables
 	outPath := filepath.Join(p.dir, fmt.Sprintf("%06d.sst", p.nextID))
 	p.nextID++
 	p.mu.Unlock()
@@ -163,24 +174,21 @@ func (s *Store) CompactPartition(i int) error {
 
 	p.mu.Lock()
 	// Flushes may have prepended newer tables while we merged; replace only
-	// the suffix we actually merged.
-	keep := len(p.tables) - len(victims)
-	if keep < 0 {
-		keep = 0
+	// the suffix we actually merged. A repair that quarantined one of the
+	// victims meanwhile leaves no such suffix: give the merge up.
+	cur := p.tables.tables
+	keep := len(cur) - len(victims)
+	if keep < 0 || !slices.Equal(cur[keep:], victims) {
+		p.mu.Unlock()
+		merged.Close()
+		os.Remove(outPath)
+		return fmt.Errorf("compact p%d: table stack changed during the merge", p.id)
 	}
-	newTables := append([]*sstable.Reader(nil), p.tables[:keep]...)
-	newTables = append(newTables, merged)
-	old := p.tables[keep:]
-	p.tables = newTables
-	tableCount := len(p.tables)
+	newTables := append(append([]*sstable.Reader(nil), cur[:keep]...), merged)
+	p.installTables(newTables, victims)
 	p.mu.Unlock()
-
-	for _, t := range old {
-		t.Close()
-		os.Remove(t.Path())
-	}
 	s.mets.Counter("kvs.compactions").Inc()
-	s.tableGauges[p.id].Set(float64(tableCount))
+	s.tableGauges[p.id].Set(float64(len(newTables)))
 	return nil
 }
 
@@ -193,27 +201,29 @@ func (s *Store) CompactPartition(i int) error {
 // served throughout — no process restart.
 func (s *Store) RepairPartition(i int) (int, error) {
 	p := s.parts[i]
-	// Exclude writers: repair may swap the WAL out from under the group
-	// committer otherwise.
+	// Exclude appends and finish the commits in flight: repair may swap the
+	// WAL out from under the group committer otherwise.
 	p.writeGate.Lock()
 	defer p.writeGate.Unlock()
+	s.drainCommits(p)
+	defer p.reapTables(false) // after mu is released: closes the quarantined tables
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	quarantined := 0
-	var kept []*sstable.Reader
-	for _, t := range p.tables {
+	var kept, corrupt []*sstable.Reader
+	for _, t := range p.tables.tables {
 		if err := t.VerifyChecksum(); err != nil {
-			path := t.Path()
-			t.Close()
-			if renameErr := os.Rename(path, path+".corrupt"); renameErr != nil {
-				return quarantined, fmt.Errorf("repair p%d: %w", p.id, renameErr)
+			if renameErr := os.Rename(t.Path(), t.Path()+".corrupt"); renameErr != nil {
+				return len(corrupt), fmt.Errorf("repair p%d: %w", p.id, renameErr)
 			}
-			quarantined++
+			corrupt = append(corrupt, t)
 			continue
 		}
 		kept = append(kept, t)
 	}
-	p.tables = kept
+	quarantined := len(corrupt)
+	if quarantined > 0 {
+		p.installTables(kept, corrupt)
+	}
 	if p.log != nil {
 		if err := p.log.Verify(); err != nil {
 			// Reopen: wal.Open truncates everything past the last intact
@@ -225,11 +235,10 @@ func (s *Store) RepairPartition(i int) (int, error) {
 				return quarantined, fmt.Errorf("repair p%d wal: %w", p.id, err)
 			}
 			p.log = fresh
-			p.resetCommitWatermarks(fresh.SyncedSize())
 		}
 	}
 	s.mets.Counter("kvs.repairs").Inc()
-	s.tableGauges[p.id].Set(float64(len(p.tables)))
+	s.tableGauges[p.id].Set(float64(len(kept)))
 	return quarantined, nil
 }
 
@@ -239,8 +248,8 @@ func (s *Store) TablePaths(i int) []string {
 	p := s.parts[i]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, len(p.tables))
-	for j, t := range p.tables {
+	out := make([]string, len(p.tables.tables))
+	for j, t := range p.tables.tables {
 		out[j] = t.Path()
 	}
 	return out
@@ -251,7 +260,7 @@ func (s *Store) TableCount(i int) int {
 	p := s.parts[i]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.tables)
+	return len(p.tables.tables)
 }
 
 // VerifyPartition runs the fsck-style partition check (§2, §3.3): it
@@ -262,8 +271,10 @@ func (s *Store) VerifyPartition(i int) error {
 	p := s.parts[i]
 	p.mu.Lock()
 	log := p.log
-	tables := append([]*sstable.Reader(nil), p.tables...)
+	tables := p.tables
+	tables.acquire()
 	p.mu.Unlock()
+	defer tables.release()
 	if err := s.inj.Fire(FaultSSTableRead); err != nil {
 		return fmt.Errorf("verify p%d: %w", p.id, err)
 	}
@@ -272,7 +283,7 @@ func (s *Store) VerifyPartition(i int) error {
 			return fmt.Errorf("verify p%d wal: %w", p.id, err)
 		}
 	}
-	for _, t := range tables {
+	for _, t := range tables.tables {
 		if err := t.VerifyChecksum(); err != nil {
 			return fmt.Errorf("verify p%d: %w", p.id, err)
 		}

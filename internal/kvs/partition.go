@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gowatchdog/internal/memtable"
@@ -20,45 +21,133 @@ import (
 // log, SSTable stack (newest first), and group committer. The partition
 // manager keeps partitions sorted by range.
 //
-// Lock order: writeGate before mu. Writers hold writeGate.RLock for the
-// whole append → sync → publish sequence; the flusher and repairer take
-// writeGate.Lock, so a memtable drain or WAL reset can never interleave
-// with an appended-but-unpublished mutation.
+// Lock order: writeGate before the others; gcCommitMu, gcMu and mu are
+// never held together. Writers hold writeGate.RLock only while they append
+// to the WAL and the open commit batch; they wait for the covering sync
+// without it (awaitCommit). The flusher, the repairer and close take
+// writeGate.Lock and then drain the committer, so a memtable drain or WAL
+// reset never interleaves with an appended-but-unpublished mutation.
 type partition struct {
 	id  int
 	lo  []byte // inclusive; nil = no lower bound
 	hi  []byte // exclusive; nil = no upper bound
 	dir string // empty in in-memory mode
 
-	// writeGate serializes mutations against flush/repair. Striped per
+	// writeGate serializes WAL appends against flush/repair. Striped per
 	// partition, so group commits on different partitions proceed
 	// independently.
 	writeGate sync.RWMutex
 
 	mu         sync.Mutex
 	mem        *memtable.Table
-	log        *wal.Log // nil in in-memory mode
-	tables     []*sstable.Reader
+	log        *wal.Log        // nil in in-memory mode
+	tables     *tableVersion   // current SSTable stack; replaced, never mutated
+	retired    []*tableVersion // replaced stacks not yet reaped, oldest first
 	nextID     int
 	compacting bool // at most one compaction per partition at a time
 
-	// Group-commit state. gcMu orders WAL appends with the pending queue so
-	// publish order equals log order; gcCommitMu guards the commit watermarks
-	// and leader election.
+	// Group-commit state. gcMu orders WAL appends with the open batch so
+	// publish order equals log order; gcCommitMu guards leader election and
+	// every batch's outcome.
 	gcMu       sync.Mutex
-	gcPending  []record
+	gcOpen     *commitBatch // the batch appends join; never nil
 	gcCommitMu sync.Mutex
 	gcCond     *sync.Cond
-	gcSyncing  bool  // a leader is inside sync+publish
-	gcDone     int64 // log offset the committer has finished (synced or failed) through
-	gcDurable  int64 // log offset synced and published successfully through
-	gcErr      error // error of the most recent failed batch
+	gcSyncing  bool // a leader is inside sync+publish
+}
+
+// commitBatch is a run of consecutive WAL records that one fsync covers,
+// and the outcome of that fsync. A pointer to the batch is the commit
+// ticket of every record in it: the outcome belongs to the batch, so a
+// waiter that wakes after later batches succeeded still gets its own
+// batch's error, and nothing refers to log offsets, which rewind when a
+// flush resets the WAL.
+type commitBatch struct {
+	p    *partition
+	recs []pendingRecord // log order; appended under gcMu until a leader takes the batch
+	done bool            // guarded by gcCommitMu, as is err
+	err  error
+}
+
+// pendingRecord is a logged mutation waiting for its covering sync.
+type pendingRecord struct {
+	rec  record // key and value point into the encoded payload (encodeOwned)
+	repl []byte // payload to stream to the replica once committed; nil = not replicated
+}
+
+// tableVersion is an immutable SSTable stack, newest table first. Every
+// get, scan, verify or compaction counts itself in readers while it uses
+// the stack, so a table that a compaction or repair drops stays open until
+// the last reader that could see it has finished (reapTables).
+type tableVersion struct {
+	tables  []*sstable.Reader
+	readers atomic.Int32
+	dropped []*sstable.Reader // set when replaced: tables the successor left out
+}
+
+// acquire counts the caller as a reader of v, release uncounts it. Callers
+// of acquire hold p.mu with v current, so a retired version never gains
+// readers. An empty stack has nothing to keep open: memtable-only reads
+// stay off the shared counter's cache line.
+func (v *tableVersion) acquire() {
+	if len(v.tables) > 0 {
+		v.readers.Add(1)
+	}
+}
+
+func (v *tableVersion) release() {
+	if len(v.tables) > 0 {
+		v.readers.Add(-1)
+	}
+}
+
+// acquireTables returns the current memtable and table stack, the latter
+// counted as in use; the caller releases it.
+func (p *partition) acquireTables() (*memtable.Table, *tableVersion) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.tables.acquire()
+	return p.mem, p.tables
+}
+
+// installTables makes tables the current stack and retires the old one;
+// dropped lists the old stack's tables that the new one leaves out. Callers
+// hold p.mu.
+func (p *partition) installTables(tables, dropped []*sstable.Reader) {
+	p.tables.dropped = dropped
+	p.retired = append(p.retired, p.tables)
+	p.tables = &tableVersion{tables: tables}
+}
+
+// reapTables closes and unlinks the dropped tables that no reader can reach
+// any more. A dropped table may be open in any older version as well, so
+// versions are reaped oldest first and the first one still in use stops the
+// sweep. Only maintenance paths call this: a read never pays for an unlink.
+// (A quarantined table was renamed away already; its unlink finds nothing.)
+// force reaps versions still in use too, for close.
+func (p *partition) reapTables(force bool) {
+	p.mu.Lock()
+	n := 0
+	for n < len(p.retired) && (force || p.retired[n].readers.Load() == 0) {
+		n++
+	}
+	reap := p.retired[:n:n]
+	p.retired = p.retired[n:]
+	p.mu.Unlock()
+	for _, v := range reap {
+		for _, t := range v.dropped {
+			t.Close()
+			os.Remove(t.Path())
+		}
+	}
 }
 
 // newPartition opens or recovers a partition rooted at dir (or in memory
 // when dir is empty).
 func newPartition(id int, lo, hi []byte, dir string) (*partition, error) {
-	p := &partition{id: id, lo: lo, hi: hi, dir: dir, mem: memtable.New(), nextID: 1}
+	p := &partition{id: id, lo: lo, hi: hi, dir: dir, mem: memtable.New(), nextID: 1,
+		tables: &tableVersion{}}
+	p.gcOpen = &commitBatch{p: p}
 	p.gcCond = sync.NewCond(&p.gcCommitMu)
 	if dir == "" {
 		return p, nil
@@ -112,16 +201,21 @@ func (p *partition) loadTables() error {
 		found = append(found, numbered{id: id, path: filepath.Join(p.dir, name)})
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].id > found[j].id }) // newest first
+	var tables []*sstable.Reader
 	for _, f := range found {
 		r, err := sstable.Open(f.path)
 		if err != nil {
+			for _, t := range tables {
+				t.Close()
+			}
 			return fmt.Errorf("kvs: open %s: %w", f.path, err)
 		}
-		p.tables = append(p.tables, r)
+		tables = append(tables, r)
 		if f.id >= p.nextID {
 			p.nextID = f.id + 1
 		}
 	}
+	p.tables = &tableVersion{tables: tables}
 	return nil
 }
 
@@ -141,79 +235,102 @@ func (p *partition) memBytes() int64 {
 	return p.mem.ApproxBytes()
 }
 
-// appendCommit is the group-commit write path: it appends payload to the
-// WAL (buffered, ordered by gcMu) and parks until a sync covers the record.
-// The first parked writer becomes the batch leader: it optionally waits out
-// the latency budget so concurrent writers can pile on, issues ONE fsync
-// for the whole batch, publishes the batch's records to the memtable in log
-// order, and wakes everyone. Records of a failed sync are never published,
-// so the memtable always trails the durable WAL prefix — a crash can lose
-// only mutations whose callers saw an error.
+// appendPending is the first half of the group-commit write path: it
+// appends payload to the WAL (buffered, ordered by gcMu) and queues rec on
+// the open batch, which it returns as the record's commit ticket.
 //
 // Callers must hold p.writeGate.RLock.
-func (p *partition) appendCommit(rec record, payload []byte, budget time.Duration) error {
+func (p *partition) appendPending(payload []byte, rec pendingRecord) (*commitBatch, error) {
 	p.gcMu.Lock()
+	defer p.gcMu.Unlock()
 	if err := p.log.Append(payload); err != nil {
-		p.gcMu.Unlock()
-		return err
+		return nil, err
 	}
-	p.gcPending = append(p.gcPending, rec)
-	myOff := p.log.Size()
-	p.gcMu.Unlock()
+	b := p.gcOpen
+	b.recs = append(b.recs, rec)
+	return b, nil
+}
 
+// awaitCommit is the second half: it returns once batch b is committed,
+// with the batch's outcome. Any number of goroutines may await
+// the same batch, holding no lock. The first waiter to find no commit in
+// flight becomes the leader: it optionally waits out the latency budget so
+// more appends can pile on, takes the open batch, issues ONE fsync for it,
+// publishes its records to the memtable in log order, and wakes everyone.
+// Records of a failed sync are never published, so the memtable always
+// trails the durable WAL prefix — a crash can lose only mutations whose
+// callers saw an error. Successful records are counted and handed to the
+// replication stream here, after the sync, in log order.
+//
+// Batches are taken in order and an unfinished batch that no leader holds
+// is necessarily the open one, so the batch a leader takes is b itself and
+// awaiting a partition's newest ticket covers all its earlier ones.
+func (s *Store) awaitCommit(b *commitBatch) error {
+	p := b.p
 	p.gcCommitMu.Lock()
-	for p.gcDone < myOff {
+	defer p.gcCommitMu.Unlock()
+	for !b.done {
 		if p.gcSyncing {
 			p.gcCond.Wait()
 			continue
 		}
-		// Become the leader for the next batch.
 		p.gcSyncing = true
 		p.gcCommitMu.Unlock()
-		if budget > 0 {
-			time.Sleep(budget) // bounded coalescing window
+		if s.cfg.GroupCommitBudget > 0 {
+			time.Sleep(s.cfg.GroupCommitBudget) // bounded coalescing window
 		}
 		p.gcMu.Lock()
-		batch := p.gcPending
-		p.gcPending = nil
-		target := p.log.Size()
+		batch, log := p.gcOpen, p.log
+		p.gcOpen = &commitBatch{p: p}
 		p.gcMu.Unlock()
-		err := p.log.Sync()
-		if err == nil && len(batch) > 0 {
-			p.mu.Lock()
-			for _, r := range batch {
-				p.applyToMem(r)
+		var err error
+		if len(batch.recs) > 0 { // flush and close drain through here with nothing queued
+			s.commitSyncs.Inc()
+			if err = log.Sync(); err == nil {
+				s.publish(p, batch.recs)
 			}
-			p.mu.Unlock()
 		}
+		batch.recs = nil // the outcome outlives the batch in its tickets; the payloads need not
 		p.gcCommitMu.Lock()
 		p.gcSyncing = false
-		p.gcDone = target
-		if err == nil {
-			p.gcDurable = target
-		} else {
-			p.gcErr = err
-		}
+		batch.done, batch.err = true, err
 		p.gcCond.Broadcast()
 	}
-	var err error
-	if p.gcDurable < myOff {
-		err = p.gcErr
-	}
-	p.gcCommitMu.Unlock()
-	return err
+	return b.err
 }
 
-// resetCommitWatermarks rewinds the group-commit watermarks to off after
-// the WAL itself rewound (flush Reset → 0, repair reopen → the reopened
-// log's durable size). Callers must hold p.writeGate.Lock, which guarantees
-// no appendCommit is in flight and the pending queue is empty.
-func (p *partition) resetCommitWatermarks(off int64) {
-	p.gcCommitMu.Lock()
-	p.gcDone = off
-	p.gcDurable = off
-	p.gcErr = nil
-	p.gcCommitMu.Unlock()
+// publish makes a synced batch visible: into the memtable, the mutation
+// counts and the replication stream, all in log order.
+func (s *Store) publish(p *partition, recs []pendingRecord) {
+	p.mu.Lock()
+	for _, r := range recs {
+		p.applyToMem(r.rec)
+	}
+	p.mu.Unlock()
+	s.commitRecords.Add(int64(len(recs)))
+	s.mutations.Add(int64(len(recs)))
+	for _, r := range recs {
+		if r.repl != nil {
+			s.repl.enqueue(r.repl)
+		}
+	}
+}
+
+// committed reports whether awaitCommit on b would return without waiting.
+func (b *commitBatch) committed() bool {
+	b.p.gcCommitMu.Lock()
+	defer b.p.gcCommitMu.Unlock()
+	return b.done
+}
+
+// drainCommits commits everything appended to p so far. Callers hold
+// p.writeGate.Lock, so nothing is appended meanwhile and on return no
+// record is pending and no leader is running.
+func (s *Store) drainCommits(p *partition) {
+	p.gcMu.Lock()
+	b := p.gcOpen
+	p.gcMu.Unlock()
+	s.awaitCommit(b) // each record's own waiter reports the batch's error
 }
 
 // owns reports whether key falls in this partition's range.
@@ -229,17 +346,15 @@ func (p *partition) owns(key []byte) bool {
 
 // get resolves key through the memtable and the SSTable stack.
 func (p *partition) get(key []byte) ([]byte, bool, error) {
-	p.mu.Lock()
-	mem := p.mem
-	tables := append([]*sstable.Reader(nil), p.tables...)
-	p.mu.Unlock()
+	mem, tables := p.acquireTables()
+	defer tables.release()
 	if v, tomb, ok := mem.Get(key); ok {
 		if tomb {
 			return nil, false, nil
 		}
 		return v, true, nil
 	}
-	for _, t := range tables {
+	for _, t := range tables.tables {
 		v, tomb, ok, err := t.Get(key)
 		if err != nil {
 			return nil, false, err
@@ -279,10 +394,9 @@ func (c *scanCursor) advance() error {
 // difference between a microsecond SCAN and one that reads the entire
 // partition under load.
 func (p *partition) scan(start, end []byte, limit int) ([]memtable.Entry, error) {
-	p.mu.Lock()
-	mem := p.mem
-	tables := append([]*sstable.Reader(nil), p.tables...)
-	p.mu.Unlock()
+	mem, version := p.acquireTables()
+	defer version.release()
+	tables := version.tables
 
 	// Cursors ordered newest first (memtable, then tables newest-to-oldest):
 	// on key ties the lowest cursor index wins.
@@ -339,22 +453,26 @@ func (p *partition) scan(start, end []byte, limit int) ([]memtable.Entry, error)
 	return out, nil
 }
 
-// close releases the WAL and table readers.
+// close releases the WAL and table readers. The caller has drained the
+// committer under writeGate.Lock. p.log stays set: an append or sync that
+// arrives after close fails with the log's own "closed" error.
 func (p *partition) close() error {
+	// Whatever readers remain, dropped tables must not outlive the store: a
+	// reopen would load them as live and resurrect keys their compaction
+	// dropped the tombstones of.
+	p.reapTables(true)
+
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var firstErr error
 	if p.log != nil {
-		if err := p.log.Close(); err != nil {
-			firstErr = err
-		}
-		p.log = nil
+		firstErr = p.log.Close()
 	}
-	for _, t := range p.tables {
+	for _, t := range p.tables.tables {
 		if err := t.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	p.tables = nil
+	p.tables = &tableVersion{}
 	return firstErr
 }

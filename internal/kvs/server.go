@@ -45,6 +45,15 @@ var respPool = sync.Pool{New: func() any { return make([]byte, 0, 256) }}
 // parses and executes requests and a writer goroutine that drains a bounded
 // response queue, batching one Flush per readable burst — many requests can
 // be in flight on one connection (see Client.Pipeline).
+//
+// Under SyncGroup the reader never waits for the disk: a SET or DEL is
+// appended to the WAL and its response queued with a commit ticket, and the
+// writer waits for the ticket before it writes that response — so a run of
+// pipelined writes shares one fsync, and no write is acknowledged before the
+// fsync that covers it returns. Responses leave in request order, and before
+// any command that reads state the reader waits for the connection's own
+// outstanding writes, so each connection still sees its requests take effect
+// in program order.
 type Server struct {
 	ln    net.Listener
 	store *Store
@@ -113,6 +122,39 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// response is one element of a connection's response queue.
+type response struct {
+	buf []byte
+	// ticket is set on a logged SET or DEL: the writer finishes the mutation
+	// before it answers, and answers ERR if the commit failed.
+	ticket commitTicket
+}
+
+// session is the reader-side state of one connection.
+type session struct {
+	srv *Server
+	// unawaited holds, per partition, the commit batch of this connection's
+	// newest write, until the reader waits for it. A partition commits its
+	// batches in order, so that one covers all the connection's earlier
+	// writes there.
+	unawaited []*commitBatch
+	// ticket is exec's second result: set when the request it just ran is a
+	// logged write, for handle to queue with the response.
+	ticket commitTicket
+}
+
+// barrier waits until every write this connection has issued is committed
+// (or has failed): what a command that reads state runs first, so the
+// connection reads its own writes. The writer reports each write's outcome.
+func (c *session) barrier() {
+	for i, b := range c.unawaited {
+		if b != nil {
+			c.srv.store.awaitCommit(b)
+			c.unawaited[i] = nil
+		}
+	}
+}
+
 // handle is the per-connection reader: it parses request lines in place,
 // executes them, and enqueues response buffers for the writer goroutine.
 func (s *Server) handle(conn net.Conn) {
@@ -125,13 +167,14 @@ func (s *Server) handle(conn net.Conn) {
 		conn.Close()
 	}()
 
-	out := make(chan []byte, respQueueDepth)
+	out := make(chan response, respQueueDepth)
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go s.writeLoop(conn, out, &writerWG)
 	defer writerWG.Wait()
 	defer close(out)
 
+	c := &session{srv: s, unawaited: make([]*commitBatch, len(s.store.parts))}
 	r := bufio.NewReaderSize(conn, readBufSize)
 	var long []byte // scratch for lines longer than the read buffer
 	for {
@@ -142,24 +185,41 @@ func (s *Server) handle(conn net.Conn) {
 			// Answer instead of silently dropping the connection; readLine
 			// already advanced past the oversized line, so the next read
 			// starts at a request boundary.
-			out <- append(respPool.Get().([]byte)[:0], "ERR line too long\n"...)
+			out <- response{buf: append(respPool.Get().([]byte)[:0], "ERR line too long\n"...)}
 			continue
 		default:
 			return // EOF or broken connection
 		}
-		buf := respPool.Get().([]byte)[:0]
-		out <- s.exec(line, buf)
+		c.ticket = commitTicket{}
+		buf := c.exec(line, respPool.Get().([]byte)[:0])
+		out <- response{buf: buf, ticket: c.ticket}
 	}
 }
 
 // writeLoop drains the response queue into the connection, flushing once
 // per burst: responses are written back-to-back while more are queued and
-// the buffered writer is flushed only when the queue momentarily empties.
-func (s *Server) writeLoop(conn net.Conn, out <-chan []byte, wg *sync.WaitGroup) {
+// the buffered writer is flushed only when the queue momentarily empties, or
+// when the next response has to wait for the disk. It finishes every queued
+// mutation even on a broken connection, so no ticket is left without a
+// waiter.
+func (s *Server) writeLoop(conn net.Conn, out <-chan response, wg *sync.WaitGroup) {
 	defer wg.Done()
 	w := bufio.NewWriterSize(conn, readBufSize)
 	broken := false
-	for buf := range out {
+	for r := range out {
+		buf := r.buf
+		if t := r.ticket; t.batch != nil {
+			if !broken && w.Buffered() > 0 && !t.batch.committed() {
+				// Earlier answers do not wait for this one's fsync.
+				if err := w.Flush(); err != nil {
+					broken = true
+					conn.Close()
+				}
+			}
+			if err := s.store.finishMutation(t); err != nil {
+				buf = appendErr(buf[:0], err.Error())
+			}
+		}
 		if !broken {
 			if _, err := w.Write(buf); err != nil {
 				broken = true
@@ -247,7 +307,6 @@ func chompLine(b []byte) []byte {
 	return b
 }
 
-
 // cutSpace splits b at the first space.
 func cutSpace(b []byte) (before, after []byte, found bool) {
 	if i := bytes.IndexByte(b, ' '); i >= 0 {
@@ -275,10 +334,12 @@ func cmdIs(tok []byte, want string) bool {
 }
 
 // exec executes one request line and appends the full response (newline-
-// terminated, possibly multi-line) to dst. line may point into the read
-// buffer; exec never retains it past the call (the store copies what it
-// keeps).
-func (s *Server) exec(line []byte, dst []byte) []byte {
+// terminated, possibly multi-line) to dst. A SET or DEL still waiting for
+// its fsync answers OK and leaves its commit ticket in c.ticket. line may
+// point into the read buffer; exec never retains it past the call (the
+// store copies what it keeps).
+func (c *session) exec(line []byte, dst []byte) []byte {
+	s := c.srv
 	s.requestsC.Inc()
 	// Listener capture rides the shared sampled-hook path, so watchdog
 	// context sync costs nothing on the per-request path.
@@ -295,6 +356,7 @@ func (s *Server) exec(line []byte, dst []byte) []byte {
 		if len(rest) == 0 {
 			return append(dst, "ERR usage: GET <key>\n"...)
 		}
+		c.barrier()
 		v, ok, err := s.store.Get(rest)
 		if err != nil {
 			return appendErr(dst, err.Error())
@@ -310,23 +372,18 @@ func (s *Server) exec(line []byte, dst []byte) []byte {
 		if !ok || len(key) == 0 {
 			return append(dst, "ERR usage: SET <key> <value>\n"...)
 		}
-		if err := s.store.Set(key, val); err != nil {
-			return appendErr(dst, err.Error())
-		}
-		return append(dst, "OK\n"...)
+		return c.mutate(record{op: opSet, key: key, value: val}, dst)
 	case cmdIs(cmd, "DEL"):
 		if len(rest) == 0 {
 			return append(dst, "ERR usage: DEL <key>\n"...)
 		}
-		if err := s.store.Del(rest); err != nil {
-			return appendErr(dst, err.Error())
-		}
-		return append(dst, "OK\n"...)
+		return c.mutate(record{op: opDel, key: rest}, dst)
 	case cmdIs(cmd, "APPEND"):
 		key, val, ok := cutSpace(rest)
 		if !ok || len(key) == 0 {
 			return append(dst, "ERR usage: APPEND <key> <value>\n"...)
 		}
+		c.barrier()
 		if err := s.store.Append(key, val); err != nil {
 			return appendErr(dst, err.Error())
 		}
@@ -334,12 +391,28 @@ func (s *Server) exec(line []byte, dst []byte) []byte {
 	case cmdIs(cmd, "PING"):
 		return append(dst, "PONG\n"...)
 	case cmdIs(cmd, "SCAN"):
+		c.barrier()
 		return s.execScan(rest, dst)
 	case cmdIs(cmd, "STATS"):
+		c.barrier()
 		return s.execStats(dst)
 	default:
 		return append(dst, "ERR unknown command\n"...)
 	}
+}
+
+// mutate logs one SET or DEL and answers OK, subject to the commit ticket
+// it leaves in c.ticket.
+func (c *session) mutate(rec record, dst []byte) []byte {
+	t, err := c.srv.store.appendMutation(rec, true)
+	if err != nil {
+		return appendErr(dst, err.Error())
+	}
+	if t.batch != nil {
+		c.unawaited[t.batch.p.id] = t.batch
+		c.ticket = t
+	}
+	return append(dst, "OK\n"...)
 }
 
 func appendErr(dst []byte, msg string) []byte {

@@ -31,11 +31,12 @@ const (
 type SyncPolicy int
 
 const (
-	// SyncGroup (the default) parks each mutation on its partition's group
-	// committer: concurrent appends coalesce into a single fsync and the
-	// memtable publish happens only after the covering sync completes, so
-	// acknowledged writes are durable and reads never see state a crash
-	// could lose.
+	// SyncGroup (the default) queues each mutation on its partition's group
+	// committer: appends made while a sync is in flight — by other callers,
+	// or by one connection's pipelined requests — coalesce into the next
+	// single fsync, and the memtable publish happens only after the covering
+	// sync completes, so acknowledged writes are durable and reads never see
+	// state a crash could lose.
 	SyncGroup SyncPolicy = iota
 	// SyncNone acknowledges after the buffered WAL append without waiting
 	// for a sync — the pre-group-commit behavior. Durability only at flush
@@ -137,6 +138,12 @@ type Store struct {
 	errorsC        *gauge.Counter
 	readsC         *gauge.Counter
 	mutLatency     *gauge.Window
+	// Group-commit stage: records per sync is the coalescing factor, and
+	// the wait is a record's time from WAL append to covering sync (sampled
+	// with mutLatency).
+	commitSyncs   *gauge.Counter
+	commitRecords *gauge.Counter
+	commitWait    *gauge.Window
 
 	started bool
 	stop    chan struct{}
@@ -154,6 +161,13 @@ func Open(cfg Config) (*Store, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	s.mutations = s.mets.Counter("kvs.mutations")
+	s.errorsC = s.mets.Counter("kvs.errors")
+	s.readsC = s.mets.Counter("kvs.reads")
+	s.mutLatency = s.mets.Window("kvs.latency.mutation", 256)
+	s.commitSyncs = s.mets.Counter("kvs.commit.syncs")
+	s.commitRecords = s.mets.Counter("kvs.commit.records")
+	s.commitWait = s.mets.Window("kvs.latency.commit_wait", 256)
 	// Range-partition the single-byte prefix space evenly. The partition
 	// manager invariant: ranges are sorted, contiguous, non-overlapping.
 	n := cfg.Partitions
@@ -183,10 +197,6 @@ func Open(cfg Config) (*Store, error) {
 		s.memBytesGauges = append(s.memBytesGauges, s.mets.Gauge(fmt.Sprintf("kvs.mem.bytes.%d", i)))
 		s.tableGauges = append(s.tableGauges, s.mets.Gauge(fmt.Sprintf("kvs.tables.%d", i)))
 	}
-	s.mutations = s.mets.Counter("kvs.mutations")
-	s.errorsC = s.mets.Counter("kvs.errors")
-	s.readsC = s.mets.Counter("kvs.reads")
-	s.mutLatency = s.mets.Window("kvs.latency.mutation", 256)
 	return s, nil
 }
 
@@ -252,12 +262,14 @@ func (s *Store) Close() error {
 func (s *Store) closePartitions() error {
 	var firstErr error
 	for _, p := range s.parts {
-		if p == nil {
-			continue
-		}
+		// Like a flush: shut out appends, then commit what is queued, so
+		// every outstanding ticket resolves before the log goes away.
+		p.writeGate.Lock()
+		s.drainCommits(p)
 		if err := p.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		p.writeGate.Unlock()
 	}
 	return firstErr
 }
@@ -321,14 +333,37 @@ func (s *Store) ApplyReplicated(payload []byte) error {
 // latSampleEvery is the mutation-latency observation sampling period.
 const latSampleEvery = 16
 
-// apply routes one mutation through WAL, indexer, and replication.
+// commitTicket is a mutation that has been logged and waits for its
+// covering sync: what appendMutation hands to finishMutation. The zero
+// ticket means there is nothing to wait for (SyncNone, in-memory).
+type commitTicket struct {
+	batch *commitBatch
+	// start and appended are set on latency-sampled mutations only.
+	start, appended time.Time
+}
+
+// apply routes one mutation through WAL, indexer, and replication, and
+// returns once it is committed: append and await on the calling goroutine.
+// The server runs the same two halves on a connection's reader and writer.
 func (s *Store) apply(rec record, replicate bool) error {
+	t, err := s.appendMutation(rec, replicate)
+	if err != nil {
+		return err
+	}
+	return s.finishMutation(t)
+}
+
+// appendMutation is the first half of a mutation: hooks, fault points and
+// the WAL append. Under SyncGroup the record is left queued on its
+// partition's open commit batch — not yet durable, not yet visible — and
+// the ticket says which; otherwise the mutation is complete and the ticket
+// zero. rec's key and value are not retained.
+func (s *Store) appendMutation(rec record, replicate bool) (commitTicket, error) {
 	if len(rec.key) == 0 {
-		return ErrEmptyKey
+		return commitTicket{}, ErrEmptyKey
 	}
 	var start time.Time
-	timed := s.latSeq.Add(1)%latSampleEvery == 0
-	if timed {
+	if s.latSeq.Add(1)%latSampleEvery == 0 {
 		start = s.clk.Now()
 	}
 	p := s.partitionFor(rec.key)
@@ -344,16 +379,15 @@ func (s *Store) apply(rec record, replicate bool) error {
 		}
 	})
 
-	// Mutations serialize against flushes on the partition's write gate, so
-	// a flush wedged inside its vulnerable disk write blocks this
-	// partition's writes — a partial failure — while reads and other
-	// partitions stay healthy.
+	// Appends serialize against flushes on the partition's write gate, so a
+	// flush wedged inside its vulnerable disk write blocks this partition's
+	// writes — a partial failure — while other partitions stay healthy.
 	p.writeGate.RLock()
 	defer p.writeGate.RUnlock()
 
 	var payload []byte
 	if p.log != nil {
-		payload = encodeRecord(rec)
+		payload, rec = encodeOwned(rec)
 		s.sampledHook("kvs.wal", &s.walHookSeq, func() map[string]any {
 			return map[string]any{
 				"partition": p.id,
@@ -363,7 +397,7 @@ func (s *Store) apply(rec record, replicate bool) error {
 		})
 		if err := s.inj.Fire(FaultWALAppend); err != nil {
 			s.errorsC.Inc()
-			return fmt.Errorf("wal append: %w", err)
+			return commitTicket{}, fmt.Errorf("wal append: %w", err)
 		}
 	}
 
@@ -372,44 +406,75 @@ func (s *Store) apply(rec record, replicate bool) error {
 	// leader, past the point where this writer could abort it.
 	if err := s.inj.Fire(FaultIndexerPut); err != nil {
 		s.errorsC.Inc()
-		return fmt.Errorf("indexer: %w", err)
+		return commitTicket{}, fmt.Errorf("indexer: %w", err)
 	}
 
+	replicate = replicate && s.repl != nil
 	if p.log != nil && s.cfg.Sync == SyncGroup {
-		// Group commit: append, park for the coalesced fsync, publish after
-		// the sync completes (the leader publishes the batch in log order).
-		if err := p.appendCommit(rec, payload, s.cfg.GroupCommitBudget); err != nil {
+		pending := pendingRecord{rec: rec}
+		if replicate {
+			pending.repl = payload
+		}
+		batch, err := p.appendPending(payload, pending)
+		if err != nil {
 			s.errorsC.Inc()
-			return err
+			return commitTicket{}, err
 		}
-	} else {
-		if p.log != nil {
-			if err := p.log.Append(payload); err != nil {
-				s.errorsC.Inc()
-				return err
-			}
+		t := commitTicket{batch: batch, start: start}
+		if !start.IsZero() {
+			t.appended = s.clk.Now()
 		}
-		p.mu.Lock()
-		p.applyToMem(rec)
-		p.mu.Unlock()
-	}
-	s.mutations.Inc()
-	if timed {
-		// Observability gauge, sampled with the latency window: the extra
-		// partition-lock acquisition is off the per-mutation path.
-		s.memBytesGauges[p.id].Set(float64(p.memBytes()))
+		return t, nil
 	}
 
-	if replicate && s.repl != nil {
+	if p.log != nil {
+		if err := p.log.Append(payload); err != nil {
+			s.errorsC.Inc()
+			return commitTicket{}, err
+		}
+	}
+	p.mu.Lock()
+	p.applyToMem(rec)
+	p.mu.Unlock()
+	s.mutations.Inc()
+	if replicate {
 		if payload == nil {
 			payload = encodeRecord(rec)
 		}
 		s.repl.enqueue(payload)
 	}
-	if timed {
-		s.mutLatency.Observe(float64(s.clk.Since(start)))
+	s.observeMutation(p, start, time.Time{})
+	return commitTicket{}, nil
+}
+
+// finishMutation is the second half: it waits for the sync that covers the
+// ticket's record (leading it if nobody else is) and reports whether the
+// mutation committed. It is called once per ticket.
+func (s *Store) finishMutation(t commitTicket) error {
+	if t.batch == nil {
+		return nil
 	}
+	if err := s.awaitCommit(t.batch); err != nil {
+		s.errorsC.Inc()
+		return err
+	}
+	s.observeMutation(t.batch.p, t.start, t.appended)
 	return nil
+}
+
+// observeMutation records a completed mutation that was picked for latency
+// sampling (start is set): the clock reads, the windows' mutexes and the
+// extra partition-lock acquisition stay off the per-mutation path.
+func (s *Store) observeMutation(p *partition, start, appended time.Time) {
+	if start.IsZero() {
+		return
+	}
+	now := s.clk.Now()
+	s.mutLatency.Observe(float64(now.Sub(start)))
+	if !appended.IsZero() {
+		s.commitWait.Observe(float64(now.Sub(appended)))
+	}
+	s.memBytesGauges[p.id].Set(float64(p.memBytes()))
 }
 
 // Get returns the value stored under key.

@@ -138,7 +138,7 @@ func TestWatchdogDetectsSilentCorruption(t *testing.T) {
 	// Corrupt a flushed SSTable behind the store's back.
 	p := s.partitionFor([]byte("k"))
 	p.mu.Lock()
-	path := p.tables[0].Path()
+	path := p.tables.tables[0].Path()
 	p.mu.Unlock()
 	corruptFile(t, path)
 	rep, _ := d.CheckNow("kvs.partition")

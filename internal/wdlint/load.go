@@ -103,8 +103,9 @@ func modulePath(gomod []byte) string {
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Expand resolves command-line package patterns into directories. A pattern
-// ending in "/..." walks the tree below it (skipping testdata, vendor, and
-// hidden directories); other patterns name single directories. Only
+// ending in "/..." walks the tree below it (skipping testdata, vendor,
+// hidden directories, and — as the go tool does — nested modules, which are
+// linted by naming them); other patterns name single directories. Only
 // directories containing non-test Go files are returned.
 func (l *Loader) Expand(patterns []string) ([]string, error) {
 	seen := make(map[string]bool)
@@ -130,7 +131,8 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 				}
 				name := d.Name()
 				if path != root && (name == "testdata" || name == "vendor" ||
-					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+					fileExists(filepath.Join(path, "go.mod"))) {
 					return filepath.SkipDir
 				}
 				if hasGoFiles(path) {
@@ -150,6 +152,11 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // hasGoFiles reports whether dir directly contains non-test Go files.
