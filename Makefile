@@ -9,7 +9,7 @@ GO ?= go
 # lock-light CEP event ring.
 RACE_PKGS := ./internal/watchdog ./internal/coord ./internal/clock ./internal/gauge ./internal/wdobs ./internal/recovery ./internal/campaign ./internal/campaign/meshscale ./internal/wdruntime ./internal/faultinject ./internal/wdmesh ./internal/wdmesh/wire ./internal/wdcep ./internal/autowatchdog/testmine ./internal/supervise ./internal/sdnotify ./internal/kvs ./internal/kvsload
 
-.PHONY: build test vet lint race kvs-commit-stress smoke mesh-smoke mesh-bench cep-smoke super-smoke cep-bench kvs-bench gen-smoke ablation check golden
+.PHONY: build test vet lint race kvs-commit-stress flake-census smoke mesh-smoke mesh-bench cep-smoke super-smoke cep-bench kvs-bench gen-smoke ablation check golden
 
 build:
 	$(GO) build ./...
@@ -28,11 +28,20 @@ lint:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# kvs-commit-stress repeats the kvs commit-ordering tests under the race
-# detector: they assert orderings between a connection's reader, its writer
-# and the group-commit leader, and one pass of a race proves little.
+# kvs-commit-stress repeats the kvs commit-ordering and incremental-verify
+# tests under the race detector: they assert orderings between a
+# connection's reader, its writer and the group-commit leader, and between
+# the partition checker and the flushes that reset the WAL under it; one
+# pass of a race proves little.
 kvs-commit-stress:
-	$(GO) test -race -count=10 -run 'Commit|GroupCommit|Pipeline' ./internal/kvs
+	$(GO) test -race -count=10 -run 'Commit|GroupCommit|Pipeline|Verify' ./internal/kvs
+
+# flake-census repeats the whole suite in shuffled order and the race
+# packages under the race detector, so an order- or timing-dependent test
+# fails here rather than as a one-off red run elsewhere.
+flake-census:
+	$(GO) test -count=3 -shuffle=on ./...
+	$(GO) test -race -count=2 $(RACE_PKGS)
 
 # smoke runs short seeded fault-injection campaigns against every substrate.
 # The synth campaign is virtual-clock (instant, bit-deterministic from the

@@ -273,7 +273,7 @@ var allowPrefixes = []string{
 	"stat", "depth", "sample", "fault", "zxid", "queue", "block", "table",
 	"volume", "partition", "tree", "session", "addr", "uint", "int", "float",
 	"byte", "checksum", "parse", "format", "quote", "abs", "min", "max",
-	"sum", "load", "num", "id",
+	"sum", "load", "num", "id", "generation",
 }
 
 // byName judges an uninspectable callee by its name. Fire marks the path

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"gowatchdog/internal/dfs"
@@ -77,13 +78,15 @@ func runDiskCheckerOnce(dir string, fault *faultinject.Fault, timeout time.Durat
 
 	if fault != nil {
 		dn.Injector().Arm(dfs.FaultVolumeWritePrefix+"0", *fault)
-		defer dn.Injector().Clear()
 	}
 
 	cell := map[string]Outcome{}
+	var runs sync.WaitGroup
 	for gen, checker := range map[string]string{"v1": "dfs.disk.v1", "v2": "dfs.disk"} {
 		repCh := make(chan watchdog.Report, 1)
+		runs.Add(1)
 		go func() {
+			defer runs.Done()
 			rep, _ := driver.CheckNow(checker)
 			repCh <- rep
 		}()
@@ -100,6 +103,16 @@ func runDiskCheckerOnce(dir string, fault *faultinject.Fault, timeout time.Durat
 			cell[gen] = Detected
 		default:
 			cell[gen] = Missed
+		}
+	}
+	// Release a hung checker and wait until every execution has returned: a
+	// released one goes on to write its probes, which must not land in dir
+	// after the run.
+	dn.Injector().Clear()
+	runs.Wait()
+	for deadline := time.Now().Add(5 * time.Second); driver.LeakedHung() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("%d checker execution(s) still hung after release", driver.LeakedHung())
 		}
 	}
 	return cell, nil

@@ -319,16 +319,7 @@ func (in *Injector) FireNet(point string) NetOutcome {
 	case Error:
 		return NetOutcome{Err: in.pointErr(point, a)}
 	case Flap:
-		on, off := a.fault.FlapOn, a.fault.FlapOff
-		if on <= 0 {
-			on = 1
-		}
-		if off <= 0 {
-			off = 1
-		}
-		if seq%int64(on+off) < int64(on) {
-			return NetOutcome{Err: in.pointErr(point, a)}
-		}
+		return NetOutcome{Err: in.flapErr(point, a, seq)}
 	}
 	return NetOutcome{}
 }
@@ -341,12 +332,24 @@ func (in *Injector) pointErr(point string, a *armed) error {
 	return fmt.Errorf("%s: %w", point, ErrInjected)
 }
 
+// flapErr returns the point's error if invocation seq (zero-based, taken
+// from the same atomic increment that counted it) falls in the on-phase of
+// a's FlapOn/FlapOff cycle, and nil in the off-phase. Unset phase lengths
+// default to 1.
+func (in *Injector) flapErr(point string, a *armed, seq int64) error {
+	on, off := int64(max(a.fault.FlapOn, 1)), int64(max(a.fault.FlapOff, 1))
+	if seq%(on+off) < on {
+		return in.pointErr(point, a)
+	}
+	return nil
+}
+
 // fireArmed applies a's manifestation. Corrupt is a no-op here: it only has
 // an effect through FireData's payload path — and Drop/Duplicate likewise
 // only act through FireNet's message path — so code paths without data or
 // message flow can still share the point name harmlessly.
 func (in *Injector) fireArmed(point string, a *armed) error {
-	a.fired.Add(1)
+	seq := a.fired.Add(1) - 1 // this invocation's zero-based sequence
 	switch a.fault.Kind {
 	case Delay:
 		in.clk.Sleep(a.fault.Delay)
@@ -359,17 +362,7 @@ func (in *Injector) fireArmed(point string, a *armed) error {
 	case Panic:
 		panic(PanicValue{Point: point})
 	case Flap:
-		on, off := a.fault.FlapOn, a.fault.FlapOff
-		if on <= 0 {
-			on = 1
-		}
-		if off <= 0 {
-			off = 1
-		}
-		seq := a.fired.Load() - 1 // this invocation's zero-based sequence
-		if seq%int64(on+off) < int64(on) {
-			return in.pointErr(point, a)
-		}
+		return in.flapErr(point, a, seq)
 	case Leak:
 		n := a.fault.LeakBytes
 		if n <= 0 {

@@ -266,27 +266,81 @@ func (s *Store) TableCount(i int) int {
 // VerifyPartition runs the fsck-style partition check (§2, §3.3): it
 // validates the WAL frames and every SSTable checksum in partition i. This
 // is the heavyweight check the watchdog runs concurrently rather than
-// in-place.
+// in-place; the kvs.partition checker runs its incremental form.
 func (s *Store) VerifyPartition(i int) error {
+	_, tables, err := s.verifyPartition(i, verifyMark{})
+	if err == nil {
+		tables.release()
+	}
+	return err
+}
+
+// verifyMark is how far verification of one partition has got: its live
+// WAL is intact up to off in generation gen of log, and every table in
+// checked has passed its checksum. The zero value has verified nothing.
+type verifyMark struct {
+	log     *wal.Log
+	gen     uint64
+	off     int64
+	checked []*sstable.Reader
+}
+
+// verifyPartition validates partition i's WAL frames past m's watermark and
+// the checksum of every table in its current stack that m has not checked,
+// and returns the advanced mark together with the stack it verified, still
+// acquired, for the caller to release. On failure the caller keeps m, which
+// stops short of the damage, so the next call reports it again.
+//
+// It holds no partition lock across the reads: flush, compaction and
+// repair carry on and install new stacks and WALs, which the mark then
+// follows. A flush may reset the WAL mid-read, and a repair may replace it
+// with its truncated reopen; a failure that coincides with either is that
+// rewind, not corruption, and the next call starts the new log or
+// generation from its first frame.
+func (s *Store) verifyPartition(i int, m verifyMark) (verifyMark, *tableVersion, error) {
 	p := s.parts[i]
 	p.mu.Lock()
 	log := p.log
 	tables := p.tables
 	tables.acquire()
 	p.mu.Unlock()
-	defer tables.release()
-	if err := s.inj.Fire(FaultSSTableRead); err != nil {
-		return fmt.Errorf("verify p%d: %w", p.id, err)
+	fail := func(err error) (verifyMark, *tableVersion, error) {
+		tables.release()
+		return m, nil, err
 	}
+	if err := s.inj.Fire(FaultSSTableRead); err != nil {
+		return fail(fmt.Errorf("verify p%d: %w", p.id, err))
+	}
+	next := verifyMark{checked: tables.tables}
 	if log != nil {
-		if err := log.Verify(); err != nil {
-			return fmt.Errorf("verify p%d wal: %w", p.id, err)
+		next.log, next.gen = log, log.Generation()
+		if log == m.log && next.gen == m.gen {
+			next.off = m.off
+		}
+		end, err := log.VerifyFrom(next.off)
+		switch {
+		case log.Generation() != next.gen:
+			next.log = nil // rewound under the read
+		case err == nil:
+			next.off = end
+		case !p.replacedLog(log):
+			return fail(fmt.Errorf("verify p%d wal: %w", p.id, err))
 		}
 	}
 	for _, t := range tables.tables {
+		if slices.Contains(m.checked, t) {
+			continue
+		}
 		if err := t.VerifyChecksum(); err != nil {
-			return fmt.Errorf("verify p%d: %w", p.id, err)
+			return fail(fmt.Errorf("verify p%d: %w", p.id, err))
 		}
 	}
-	return nil
+	return next, tables, nil
+}
+
+// replacedLog reports whether log is no longer partition p's WAL.
+func (p *partition) replacedLog(log *wal.Log) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.log != log
 }

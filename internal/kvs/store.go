@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -145,6 +146,10 @@ type Store struct {
 	commitRecords *gauge.Counter
 	commitWait    *gauge.Window
 
+	// closers release what watchdog checkers keep open between runs.
+	closersMu sync.Mutex
+	closers   []func()
+
 	started bool
 	stop    chan struct{}
 	done    chan struct{}
@@ -235,6 +240,13 @@ func (s *Store) backgroundLoop() {
 	}
 }
 
+// onClose registers fn to run when the store closes.
+func (s *Store) onClose(fn func()) {
+	s.closersMu.Lock()
+	defer s.closersMu.Unlock()
+	s.closers = append(s.closers, fn)
+}
+
 // Close stops background work and releases resources. A final flush
 // persists the memtables.
 func (s *Store) Close() error {
@@ -242,6 +254,13 @@ func (s *Store) Close() error {
 	case <-s.stop:
 	default:
 		close(s.stop)
+	}
+	s.closersMu.Lock()
+	closers := s.closers
+	s.closers = nil
+	s.closersMu.Unlock()
+	for _, fn := range closers {
+		fn()
 	}
 	if s.started {
 		select {

@@ -32,6 +32,17 @@ func watchedStore(t *testing.T, mutate func(*Config)) (*Store, *watchdog.Driver)
 	}
 	d := watchdog.New(watchdog.WithFactory(factory), watchdog.WithTimeout(2*time.Second))
 	s.InstallWatchdog(d, shadow)
+	// A checker abandoned in a Hang goes on with its shadow I/O once
+	// released: release it and let it finish before the directory goes.
+	t.Cleanup(func() {
+		s.Injector().Clear()
+		for deadline := time.Now().Add(5 * time.Second); d.LeakedHung() > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("%d checker execution(s) still hung after release", d.LeakedHung())
+				return
+			}
+		}
+	})
 	return s, d
 }
 

@@ -179,6 +179,63 @@ func TestVerifyDetectsSilentCorruption(t *testing.T) {
 	}
 }
 
+// TestVerifyFromResumes: VerifyFrom re-reads only the frames past the
+// offset it is given, returns the end it reached, and reports a flip in a
+// frame appended after that watermark.
+func TestVerifyFromResumes(t *testing.T) {
+	l, path := openLog(t)
+	l.Append([]byte("first"))
+	end, err := l.VerifyFrom(0)
+	if err != nil || end != l.Size() {
+		t.Fatalf("VerifyFrom(0) = %d, %v; size %d", end, err, l.Size())
+	}
+	// Nothing new: no read at all, the watermark stands.
+	if again, err := l.VerifyFrom(end); err != nil || again != end {
+		t.Fatalf("VerifyFrom(end) = %d, %v", again, err)
+	}
+	// Damage the verified frame: a resumed pass no longer looks at it.
+	data, _ := os.ReadFile(path)
+	data[frameHeader] ^= 0x01
+	os.WriteFile(path, data, 0o644)
+	l.Append([]byte("second"))
+	got, err := l.VerifyFrom(end)
+	if err != nil || got != l.Size() {
+		t.Fatalf("VerifyFrom(%d) = %d, %v; size %d", end, got, err, l.Size())
+	}
+	if _, err := l.VerifyFrom(0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("full pass = %v, want ErrCorrupt", err)
+	}
+	// A flip past the watermark is found, and the watermark does not move.
+	l.Append([]byte("third"))
+	data, _ = os.ReadFile(path)
+	data[len(data)-1] ^= 0x01
+	os.WriteFile(path, data, 0o644)
+	at, err := l.VerifyFrom(got)
+	if !errors.Is(err, ErrCorrupt) || at != got {
+		t.Fatalf("VerifyFrom(%d) = %d, %v; want %d, ErrCorrupt", got, at, err, got)
+	}
+}
+
+// TestGenerationAdvancesOnReset: every Reset, and only a Reset, starts a
+// new generation.
+func TestGenerationAdvancesOnReset(t *testing.T) {
+	l, _ := openLog(t)
+	g0 := l.Generation()
+	l.Append([]byte("x"))
+	l.Sync()
+	if l.Generation() != g0 {
+		t.Fatal("append or sync changed the generation")
+	}
+	for i := 1; i <= 2; i++ {
+		if err := l.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Generation(); got != g0+uint64(i) {
+			t.Fatalf("after %d resets generation = %d, want %d", i, got, g0+uint64(i))
+		}
+	}
+}
+
 func TestReset(t *testing.T) {
 	l, _ := openLog(t)
 	l.Append([]byte("x"))

@@ -103,7 +103,10 @@ func TestSdNotifyFeedGatedOnVerdict(t *testing.T) {
 	// Break the checker; once the verdict flips, feeds must stop.
 	failing.Store(true)
 	waitFor(t, 2*time.Second, func() bool { return !rt.Driver().Healthy() }, "unhealthy verdict")
-	drainMsgs(msgs) // discard feeds sent before the flip
+	// A feed the loop decided on just before the flip may still be in the
+	// socket: let it land, then discard it with the others sent before.
+	time.Sleep(50 * time.Millisecond)
+	drainMsgs(msgs)
 	time.Sleep(100 * time.Millisecond)
 	if fed := drainMsgs(msgs); len(fed) != 0 {
 		t.Fatalf("got %v while unhealthy, want feed silence", fed)
