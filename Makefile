@@ -1,4 +1,4 @@
-# Development entry points. `make check` is what CI runs.
+# Development entry points. CI runs `make check` and `make flake-census`.
 
 GO ?= go
 
@@ -7,9 +7,9 @@ GO ?= go
 # paths (gauge registry, wdobs histograms/journal), the alarm-driven
 # recovery/campaign loop, the fault injector, the gossiping mesh, and the
 # lock-light CEP event ring.
-RACE_PKGS := ./internal/watchdog ./internal/coord ./internal/clock ./internal/gauge ./internal/wdobs ./internal/recovery ./internal/campaign ./internal/campaign/meshscale ./internal/wdruntime ./internal/faultinject ./internal/wdmesh ./internal/wdmesh/wire ./internal/wdcep ./internal/autowatchdog/testmine ./internal/supervise ./internal/sdnotify ./internal/kvs ./internal/kvsload
+RACE_PKGS := ./internal/watchdog ./internal/coord ./internal/clock ./internal/gauge ./internal/wdobs ./internal/recovery ./internal/campaign ./internal/campaign/meshscale ./internal/wdruntime ./internal/faultinject ./internal/wdmesh ./internal/wdmesh/wire ./internal/wdcep ./internal/autowatchdog/testmine ./internal/supervise ./internal/sdnotify ./internal/kvs
 
-.PHONY: build test vet lint race kvs-commit-stress flake-census smoke mesh-smoke mesh-bench cep-smoke super-smoke cep-bench kvs-bench gen-smoke ablation check golden
+.PHONY: build test vet lint race kvs-commit-stress flake-census smoke mesh-smoke meshscale-smoke cep-smoke super-smoke gen-smoke bench-smoke ablation check golden
 
 build:
 	$(GO) build ./...
@@ -69,15 +69,15 @@ mesh-smoke:
 	$(GO) run ./cmd/wdchaos -substrate mesh -seed 7 -nodes 3 -quorum 2 \
 		-mesh-interval 25ms
 
-# mesh-bench regenerates the mesh-at-scale survival verdict (E17): 500
+# meshscale-smoke runs the mesh-at-scale survival campaign (E17): 500
 # Step-mode nodes on a virtual clock, driven through seeded correlated
 # partition, churn, rejoin, and lossy-link faults. Gates: full convergence,
 # intrinsic detection on every observer, zero false positives, and per-round
 # message volume within the O(N·K) budget (vs the full mesh's O(N²)). The
-# verdict is bit-deterministic from the seed and committed as BENCH_mesh.json.
-mesh-bench:
+# verdict is bit-deterministic from the seed.
+meshscale-smoke:
 	$(GO) run ./cmd/wdchaos -substrate meshscale -seed 1 -nodes 500 \
-		-fanout 3 -quorum 2 -bench-out BENCH_mesh.json
+		-fanout 3 -quorum 2
 
 # cep-smoke runs the seeded temporal-rule campaign: a streak fault must fire
 # the consecutive-abnormal rule, a concurrent spread fault must fire the
@@ -95,19 +95,6 @@ cep-smoke:
 super-smoke:
 	$(GO) run ./cmd/wdchaos -substrate super -seed 42 -outages 2
 
-# cep-bench regenerates the wdcep perf verdict: the engine must sustain at
-# least 1M events/sec single-threaded with zero steady-state allocations.
-cep-bench:
-	$(GO) run ./cmd/wdbench -exp cep -cep-out BENCH_wdcep.json
-
-# kvs-bench regenerates the kvs hot-path perf verdict: paired watchdog-off
-# and watchdog-on wdload runs at saturation (64 pipelined connections,
-# 1M+ total ops, both arms pinned to SyncNone — the CPU-bound arm; the
-# fsync-bound arm is benchmark/'s kvs_write_durable). The run fails if watchdog
-# overhead on throughput exceeds 5% or the on-arm drops below the floor.
-kvs-bench:
-	$(GO) run ./cmd/wdbench -exp kvsload -kvs-out BENCH_kvs.json
-
 # gen-smoke proves the test miner still extracts checkers from the real
 # service test suites: awgen -from-tests exits nonzero when a package yields
 # no minable assertion predicates, so a refactor that silently starves the
@@ -115,6 +102,13 @@ kvs-bench:
 gen-smoke:
 	$(GO) run ./cmd/awgen -from-tests -quiet -pkg ./internal/kvs
 	$(GO) run ./cmd/awgen -from-tests -quiet -pkg ./internal/coord
+
+# bench-smoke compiles the benchmark/ module (a module of its own, so build,
+# test and lint above stop at its go.mod) against the internal packages it
+# drives, and runs its unit tests plus a -quick pass over every workload.
+# Performance numbers come from that module alone.
+bench-smoke:
+	$(GO) test -C benchmark .
 
 # ablation runs the E13 checker-source comparison: the kvs and dfs substrates
 # under the reduced suite, the test-mined suite, and both. Mined-only arms
@@ -136,4 +130,4 @@ golden:
 	$(GO) test ./internal/autowatchdog -run Golden -update
 	$(GO) test ./internal/autowatchdog/testmine -run Golden -update
 
-check: build vet lint test race kvs-commit-stress smoke mesh-smoke mesh-bench cep-smoke super-smoke gen-smoke cep-bench kvs-bench
+check: build vet lint test race kvs-commit-stress smoke mesh-smoke meshscale-smoke cep-smoke super-smoke gen-smoke bench-smoke

@@ -15,6 +15,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -38,7 +39,7 @@ func main() {
 		serveRepl   = flag.Bool("serve-replica", false, "run as a replica (apply stream on -addr)")
 		inMemory    = flag.Bool("in-memory", false, "disable WAL and SSTables")
 		useWatchdog = flag.Bool("watchdog", true, "run the generated watchdog suite")
-		inject      = flag.String("inject", "", "fault to inject: <point>=<hang|error|delay|corrupt>")
+		inject      = flag.String("inject", "", "fault to inject: <kvs fault point>=<hang|error|delay|panic>")
 		injectAfter = flag.Duration("inject-after", 5*time.Second, "delay before injecting")
 		capsuleDir  = flag.String("capsules", "", "directory to record failure capsules (§5.2)")
 		autoRecover = flag.Bool("recover", false, "enable cheap recovery on alarms (§5.2)")
@@ -174,11 +175,23 @@ func main() {
 	log.Print("kvsd: shutting down")
 }
 
-// parseInjection parses "<point>=<kind>".
+// faultPoints are the store's instrumented fault points; an -inject naming
+// anything else would arm a fault no code path fires.
+var faultPoints = []string{
+	kvs.FaultIndexerPut, kvs.FaultIndexerGet, kvs.FaultWALAppend, kvs.FaultFlushWrite,
+	kvs.FaultCompactMerge, kvs.FaultReplSend, kvs.FaultListenerHandle, kvs.FaultSSTableRead,
+}
+
+// parseInjection parses "<point>=<kind>". Only kinds a kvs fault point acts
+// on are accepted: the store fires its points through Fire, never FireData,
+// so a corrupt fault would never trigger.
 func parseInjection(s string) (string, faultinject.Kind, error) {
 	point, kindStr, ok := strings.Cut(s, "=")
 	if !ok {
 		return "", 0, fmt.Errorf("bad -inject %q, want <point>=<kind>", s)
+	}
+	if !slices.Contains(faultPoints, point) {
+		return "", 0, fmt.Errorf("unknown fault point %q, want one of %s", point, strings.Join(faultPoints, ", "))
 	}
 	switch kindStr {
 	case "hang":
@@ -187,12 +200,10 @@ func parseInjection(s string) (string, faultinject.Kind, error) {
 		return point, faultinject.Error, nil
 	case "delay":
 		return point, faultinject.Delay, nil
-	case "corrupt":
-		return point, faultinject.Corrupt, nil
 	case "panic":
 		return point, faultinject.Panic, nil
 	default:
-		return "", 0, fmt.Errorf("unknown fault kind %q", kindStr)
+		return "", 0, fmt.Errorf("unknown fault kind %q, want hang, error, delay or panic", kindStr)
 	}
 }
 

@@ -9,10 +9,9 @@
 // delta, so the cost a benchmark run imposes on a live watchdog is visible
 // next to the tables it produces.
 //
-// -exp cep runs the wdcep engine ingest benchmark and (with -cep-out) writes
-// the machine-readable perf verdict CI commits as BENCH_wdcep.json; it exits
-// nonzero below the 1M events/sec bar or with a non-zero steady-state
-// allocation rate.
+// Performance numbers (serving-path throughput, watchdog overhead, wdcep
+// ingest cost, mesh message volume) come from the benchmark/ module, not
+// from here.
 package main
 
 import (
@@ -29,11 +28,9 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment: table1|table2|zk2201|context|validate|disk|overhead|reduction|cep|kvsload|all")
+		exp    = flag.String("exp", "all", "experiment: table1|table2|zk2201|context|validate|disk|coverage|overhead|reduction|all")
 		paper  = flag.Bool("paper", false, "use the paper's 1s/6s watchdog parameters for zk2201")
 		scrape = flag.String("scrape", "", "wdobs address to snapshot before and after the run")
-		cepOut = flag.String("cep-out", "", "write the wdcep perf verdict (BENCH_wdcep.json) here when running -exp cep")
-		kvsOut = flag.String("kvs-out", "", "write the kvs serving-path perf verdict (BENCH_kvs.json) here when running -exp kvsload")
 	)
 	flag.Parse()
 
@@ -102,12 +99,6 @@ func main() {
 	})
 	run("overhead", func() (interface{ Render() string }, error) {
 		return experiment.RunOverhead(filepath.Join(scratch, "oh"), 0)
-	})
-	run("cep", func() (interface{ Render() string }, error) {
-		return runCEPBench(*cepOut)
-	})
-	run("kvsload", func() (interface{ Render() string }, error) {
-		return runKVSLoadBench(filepath.Join(scratch, "kvsload"), *kvsOut)
 	})
 	run("reduction", func() (interface{ Render() string }, error) {
 		wd, err := os.Getwd()

@@ -10,7 +10,7 @@
 //	wdchaos -substrate kvs -dir /tmp/chaos -interval 20ms -storm 20
 //	wdchaos -substrate synth -seed 7 -breaker 3 -damp 30s -hang-budget 2
 //	wdchaos -substrate mesh -seed 7 -nodes 3 -quorum 2 -mesh-interval 20ms
-//	wdchaos -substrate meshscale -seed 1 -nodes 500 -fanout 3 -bench-out BENCH_mesh.json
+//	wdchaos -substrate meshscale -seed 1 -nodes 500 -fanout 3 -json
 //	wdchaos -substrate kvs -checkers mined -min-detection-rate 0.01 -json
 //	wdchaos -substrate cep -seed 42 -json
 //	wdchaos -substrate super -seed 42 -outages 2 -json
@@ -80,7 +80,6 @@ func main() {
 		quorum       = flag.Int("quorum", 2, "mesh substrates: cluster-verdict corroboration threshold")
 		meshInterval = flag.Duration("mesh-interval", 0, "mesh substrates: gossip period (0 = substrate default)")
 		fanout       = flag.Int("fanout", 3, "meshscale substrate: peers sampled per gossip round")
-		benchOut     = flag.String("bench-out", "", "meshscale substrate: also write the JSON verdict to this file (BENCH_mesh.json)")
 
 		outages       = flag.Int("outages", 2, "super substrate: SIGKILL rounds before the hang/adoption/storm phases")
 		feedWindow    = flag.Duration("feed-window", 300*time.Millisecond, "super substrate: sd_notify watchdog window")
@@ -100,7 +99,7 @@ func main() {
 		return
 	}
 	if *substrate == "meshscale" {
-		runMeshScale(*seed, *nodes, *fanout, *quorum, *meshInterval, *benchOut, *rawJSON)
+		runMeshScale(*seed, *nodes, *fanout, *quorum, *meshInterval, *rawJSON)
 		return
 	}
 	if *substrate == "cep" {
@@ -224,8 +223,8 @@ func runMesh(seed int64, nodes, quorum int, interval time.Duration, rawJSON bool
 // runMeshScale scores the mesh-at-scale survival campaign: hundreds of
 // Step-mode nodes on a virtual clock under seeded correlated partitions,
 // churn, and lossy links (see campaign.RunMeshScale). The verdict is
-// deterministic in the seed; -bench-out commits it as BENCH_mesh.json.
-func runMeshScale(seed int64, nodes, fanout, quorum int, interval time.Duration, benchOut string, rawJSON bool) {
+// deterministic in the seed.
+func runMeshScale(seed int64, nodes, fanout, quorum int, interval time.Duration, rawJSON bool) {
 	verdict, err := campaign.RunMeshScale(meshscale.Config{
 		Seed:     seed,
 		Nodes:    nodes,
@@ -236,16 +235,11 @@ func runMeshScale(seed int64, nodes, fanout, quorum int, interval time.Duration,
 	if err != nil {
 		fatal(err)
 	}
-	data, err := verdict.JSON()
-	if err != nil {
-		fatal(err)
-	}
-	if benchOut != "" {
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
+	if rawJSON {
+		data, err := verdict.JSON()
+		if err != nil {
 			fatal(err)
 		}
-	}
-	if rawJSON {
 		fmt.Println(string(data))
 	} else {
 		fmt.Print(verdict.Render())

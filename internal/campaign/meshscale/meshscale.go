@@ -109,8 +109,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Verdict is the machine-readable campaign outcome; CI commits it as
-// BENCH_mesh.json and gates on Pass.
+// Verdict is the machine-readable campaign outcome; `make meshscale-smoke`
+// gates on Pass.
 type Verdict struct {
 	Substrate  string `json:"substrate"`
 	Seed       int64  `json:"seed"`
@@ -617,7 +617,7 @@ func Run(cfg Config) (*Verdict, error) {
 	return v, nil
 }
 
-// JSON renders the verdict for CI consumption (BENCH_mesh.json).
+// JSON renders the verdict for machine consumption (wdchaos -json).
 func (v *Verdict) JSON() ([]byte, error) { return json.MarshalIndent(v, "", "  ") }
 
 // Render formats the verdict for humans.

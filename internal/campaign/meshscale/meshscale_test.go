@@ -45,7 +45,7 @@ func TestRunSmallPasses(t *testing.T) {
 }
 
 // TestRunDeterministic: the same seed must reproduce the same verdict bit for
-// bit — the property that lets CI commit BENCH_mesh.json.
+// bit — the property that makes `make meshscale-smoke` reproducible.
 func TestRunDeterministic(t *testing.T) {
 	a, err := Run(small(42))
 	if err != nil {

@@ -13,7 +13,6 @@ func TestSelfLint(t *testing.T) {
 		"../coord",
 		"../dfs",
 		"../kvs",
-		"../kvsload",
 		"../autowatchdog/genexample",
 		"../autowatchdog/testmine",
 		"../campaign",

@@ -126,7 +126,7 @@ func TestStepFanoutConvergenceAndVolume(t *testing.T) {
 
 // TestStepDeterminism runs the same seeded scenario twice — including a
 // victim turning sick mid-run — and requires bit-identical counters and
-// verdict sets: the property RunMeshScale's committed verdict relies on.
+// verdict sets: the property RunMeshScale's reproducible verdict relies on.
 func TestStepDeterminism(t *testing.T) {
 	run := func() string {
 		sick := false
