@@ -113,7 +113,10 @@ bench-smoke:
 # ablation runs the E13 checker-source comparison: the kvs and dfs substrates
 # under the reduced suite, the test-mined suite, and both. Mined-only arms
 # miss write-path faults by design, so the detection gate is lowered and the
-# verdicts are compared, not pass/failed.
+# verdicts are compared, not pass/failed. It then runs the E1-E2 detector
+# arms on kvs (probe, signal, handler, heartbeat) under the same schedule.
+# Their verdicts are read, not gated: the heartbeat detects nothing and the
+# signal arm raises false positives by design, so they exit nonzero.
 ablation:
 	for src in reduced mined both; do \
 		$(GO) run ./cmd/wdchaos -substrate kvs -checkers $$src -seed 13 \
@@ -122,6 +125,11 @@ ablation:
 		$(GO) run ./cmd/wdchaos -substrate dfs -checkers $$src -seed 13 \
 			-interval 20ms -warmup 5 -storm 25 -cooldown 10 \
 			-min-detection-rate 0.01 || exit 1; \
+	done
+	for src in probe signal handler heartbeat; do \
+		$(GO) run ./cmd/wdchaos -substrate kvs -checkers $$src -seed 13 \
+			-interval 20ms -warmup 5 -storm 25 -cooldown 10 \
+			-min-detection-rate 0.01 || true; \
 	done
 
 # golden refreshes the AutoWatchdog generator goldens (region reduction and

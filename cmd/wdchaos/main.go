@@ -12,14 +12,16 @@
 //	wdchaos -substrate mesh -seed 7 -nodes 3 -quorum 2 -mesh-interval 20ms
 //	wdchaos -substrate meshscale -seed 1 -nodes 500 -fanout 3 -json
 //	wdchaos -substrate kvs -checkers mined -min-detection-rate 0.01 -json
+//	wdchaos -substrate kvs -checkers probe -min-detection-rate 0.01 -json
 //	wdchaos -substrate cep -seed 42 -json
 //	wdchaos -substrate super -seed 42 -outages 2 -json
 //
-// The -checkers flag (kvs and dfs only) selects the E13 ablation targets:
-// the same substrate scored under the reduced suite, the test-mined suite
-// (awgen -from-tests), or both. Mined-only runs miss write-path faults by
-// design — pass a low -min-detection-rate and compare verdicts instead of
-// gating on exit status.
+// The -checkers flag (kvs and dfs only) selects the ablation targets: the
+// same substrate scored under the reduced suite, the test-mined suite (awgen
+// -from-tests), or both (E13); on kvs also under one of the detectors the
+// paper compares watchdogs with — probe, signal, handler, heartbeat (E1–E2).
+// Mined-only and detector runs miss faults by design — pass a low
+// -min-detection-rate and compare verdicts instead of gating on exit status.
 //
 // The synthetic substrate runs on a virtual clock by default, so a full
 // campaign completes in milliseconds and is reproducible bit-for-bit from the
@@ -55,7 +57,7 @@ func main() {
 
 	var (
 		substrate = flag.String("substrate", "synth", "system under campaign: synth|kvs|dfs|mesh|meshscale|cep|super")
-		checkers  = flag.String("checkers", "", "ablation checker source for kvs/dfs: reduced|mined|both (empty = standard target)")
+		checkers  = flag.String("checkers", "", "ablation checker source: reduced|mined|both (kvs, dfs) or detector arm probe|signal|handler|heartbeat (kvs); empty = standard target")
 		dir       = flag.String("dir", "", "scratch directory for disk-backed substrates (default: temp dir)")
 		seed      = flag.Int64("seed", 1, "schedule-generation seed")
 		realClock = flag.Bool("real-clock", false, "run the synth substrate on the real clock instead of a virtual one")

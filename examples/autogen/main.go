@@ -3,6 +3,8 @@
 // the reduction report, the generated checker source, and a hook-
 // instrumented function.
 //
+// Run it from the module root:
+//
 //	go run ./examples/autogen
 package main
 
@@ -14,18 +16,9 @@ import (
 	"strings"
 
 	"gowatchdog/internal/autowatchdog"
-	"gowatchdog/internal/experiment"
 )
 
 func main() {
-	wd, err := os.Getwd()
-	if err != nil {
-		log.Fatal(err)
-	}
-	root, err := experiment.FindModuleRoot(wd)
-	if err != nil {
-		log.Fatal(err)
-	}
 	out, err := os.MkdirTemp("", "autogen-")
 	if err != nil {
 		log.Fatal(err)
@@ -33,7 +26,7 @@ func main() {
 	defer os.RemoveAll(out)
 
 	a, err := autowatchdog.Analyze(autowatchdog.Config{
-		PackageDir: filepath.Join(root, "internal", "coord"),
+		PackageDir: filepath.Join("internal", "coord"),
 		OutDir:     out,
 	})
 	if err != nil {

@@ -4,20 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
+	"gowatchdog/internal/detect"
 	"gowatchdog/internal/dfs"
 	"gowatchdog/internal/faultinject"
 	"gowatchdog/internal/kvs"
 	"gowatchdog/internal/watchdog"
+	"gowatchdog/internal/watchdog/checkers"
 	"gowatchdog/internal/watchdog/wdio"
 	"gowatchdog/internal/wdruntime"
 )
 
-// Checker-source selectors for the ablation targets (EXPERIMENTS.md E13):
-// the same substrate and fault points, scored under different checker suites,
-// so the verdicts isolate what each source of checkers buys.
+// Checker-source selectors for the ablation targets (EXPERIMENTS.md E13,
+// E1–E2): the same substrate and fault points, scored under different checker
+// suites, so the verdicts isolate what each source of checkers buys.
 const (
 	// CheckersReduced installs only the hand-tuned suite produced by mainline
 	// region reduction (InstallWatchdog) — the §4 baseline.
@@ -29,7 +33,30 @@ const (
 	// checker are attributed to it, so the verdict shows the mined suite
 	// detecting alongside the reduced one rather than being shadowed by it.
 	CheckersBoth = "both"
+
+	// The detector arms (kvs only) replace the watchdog with one of the
+	// detectors the paper compares it against (Tables 1–2). Each registers a
+	// single checker named after the arm, which every fault point is
+	// attributed to.
+
+	// CheckersProbe is a client set/get round trip through kvs.Serve.
+	CheckersProbe = "probe"
+	// CheckersSignal samples four health indicators of the store's metric
+	// registry: flush and mutation progress, error rate, replication queue.
+	CheckersSignal = "signal"
+	// CheckersHandler is the in-place error handler: it reports the error the
+	// workload's own last store.Set returned.
+	CheckersHandler = "handler"
+	// CheckersHeartbeat is a crash failure detector fed by a live goroutine.
+	CheckersHeartbeat = "heartbeat"
 )
+
+// ablationSources lists the checker sources each ablation substrate accepts.
+var ablationSources = map[string][]string{
+	"kvs": {CheckersReduced, CheckersMined, CheckersBoth,
+		CheckersProbe, CheckersSignal, CheckersHandler, CheckersHeartbeat},
+	"dfs": {CheckersReduced, CheckersMined, CheckersBoth},
+}
 
 // UncoveredChecker names the sentinel checker for a fault point the selected
 // suite does not guard. No checker registers under this name, so every fault
@@ -48,7 +75,7 @@ type ablationPoint struct {
 // Ablation schedules arm Error faults only: hangs exercise the liveness
 // machinery, which both suites share, and would blur the coverage comparison.
 func (ap ablationPoint) attribute(source string) FaultPoint {
-	checker := ""
+	checker := source // a detector arm's one checker
 	switch source {
 	case CheckersReduced:
 		checker = ap.reduced
@@ -70,13 +97,13 @@ func (ap ablationPoint) attribute(source string) FaultPoint {
 	}
 }
 
-func validAblationSource(source string) error {
-	switch source {
-	case CheckersReduced, CheckersMined, CheckersBoth:
+func validAblationSource(substrate, source string) error {
+	valid := ablationSources[substrate]
+	if slices.Contains(valid, source) {
 		return nil
 	}
-	return fmt.Errorf("campaign: unknown checker source %q (want %s|%s|%s)",
-		source, CheckersReduced, CheckersMined, CheckersBoth)
+	return fmt.Errorf("campaign: unknown %s checker source %q (want %s)",
+		substrate, source, strings.Join(valid, "|"))
 }
 
 // kvsAblationPoints is the kvs attribution table. The reduced suite guards
@@ -93,10 +120,11 @@ var kvsAblationPoints = []ablationPoint{
 }
 
 // NewKVSAblationTarget opens a kvs store under dir and wires the selected
-// checker suite(s). Identical substrate and workload to NewKVSTarget; no
-// recovery manager, so the verdict isolates detection.
+// checker suite(s) or detector. Identical substrate and workload to
+// NewKVSTarget, plus one flush before the run so the flusher's hook-fed
+// context is live; no recovery manager, so the verdict isolates detection.
 func NewKVSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target, error) {
-	if err := validAblationSource(source); err != nil {
+	if err := validAblationSource("kvs", source); err != nil {
 		return nil, err
 	}
 	factory := watchdog.NewFactory()
@@ -108,6 +136,11 @@ func NewKVSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 	if err != nil {
 		return nil, err
 	}
+	if err := store.Set([]byte("ablation-seed"), []byte("flushed")); err != nil {
+		store.Close()
+		return nil, err
+	}
+	store.FlushAll(true)
 
 	base := []wdruntime.Option{
 		wdruntime.WithFactory(factory),
@@ -121,18 +154,32 @@ func NewKVSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 	}
 	d := rt.Driver()
 
+	// lastSet is the result of the workload's latest store.Set: what an
+	// error handler at that call site sees.
+	var lastSet atomic.Pointer[error]
 	closers := []func() error{rt.Close, store.Close}
-	if source != CheckersMined {
-		shadow, err := wdio.NewFS(kvs.ShadowDirFor(dir), 0)
+	switch source {
+	case CheckersReduced, CheckersMined, CheckersBoth:
+		if source != CheckersMined {
+			shadow, err := wdio.NewFS(kvs.ShadowDirFor(dir), 0)
+			if err != nil {
+				rt.Close()
+				store.Close()
+				return nil, err
+			}
+			store.InstallWatchdog(d, shadow)
+		}
+		if source != CheckersReduced {
+			kvs.RegisterMinedStoreCheckers(d, store)
+		}
+	default:
+		closeArm, err := registerDetectorArm(d, source, store, &lastSet)
 		if err != nil {
 			rt.Close()
 			store.Close()
 			return nil, err
 		}
-		store.InstallWatchdog(d, shadow)
-	}
-	if source != CheckersReduced {
-		kvs.RegisterMinedStoreCheckers(d, store)
+		closers = append([]func() error{closeArm}, closers...)
 	}
 
 	points := make([]FaultPoint, 0, len(kvsAblationPoints))
@@ -150,14 +197,16 @@ func NewKVSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 		Points:   points,
 		Step: func(tick int) {
 			// Same abandoned-write workload as NewKVSTarget: it keeps the
-			// hook-fed contexts fresh for the reduced suite and hangs nothing.
+			// hook-fed contexts fresh for the reduced suite and hangs
+			// nothing. Its result is what the handler arm reports.
 			if !inflight.CompareAndSwap(false, true) {
 				return
 			}
 			key := []byte{byte(tick % 251)}
 			go func() {
 				defer inflight.Store(false)
-				_ = store.Set(key, payload)
+				err := store.Set(key, payload)
+				lastSet.Store(&err)
 			}()
 		},
 		Close: func() error {
@@ -169,6 +218,95 @@ func NewKVSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 			return errors.Join(errs...)
 		},
 	}, nil
+}
+
+// registerDetectorArm registers the named detector arm's one checker on d and
+// returns what releases its resources.
+func registerDetectorArm(d *watchdog.Driver, source string, store *kvs.Store, lastSet *atomic.Pointer[error]) (func() error, error) {
+	ready := watchdog.WithContext(readyContext())
+	switch source {
+	case CheckersProbe:
+		srv, err := kvs.Serve("127.0.0.1:0", store)
+		if err != nil {
+			return nil, err
+		}
+		d.Register(checkers.Probe(CheckersProbe, func() error {
+			c, err := kvs.Dial(srv.Addr(), time.Second)
+			if err != nil {
+				return err
+			}
+			defer c.Close()
+			if err := c.Set("__probe__", "ping"); err != nil {
+				return err
+			}
+			v, err := c.Get("__probe__")
+			if err != nil {
+				return err
+			}
+			if v != "ping" {
+				return fmt.Errorf("read back %q", v)
+			}
+			return nil
+		}), ready)
+		return srv.Close, nil
+	case CheckersSignal:
+		m := store.Metrics()
+		indicators := []watchdog.Checker{
+			checkers.CounterStalled("flush-progress", "flushes", m.Counter("kvs.flushes")),
+			checkers.CounterStalled("mutation-progress", "mutations", m.Counter("kvs.mutations")),
+			checkers.CounterRising("error-rate", "errors", m.Counter("kvs.errors")),
+			checkers.GaugeAbove("repl-queue", "repl-queue", m.Gauge("kvs.repl.queue"), 512),
+		}
+		// One checker samples every indicator each run; its report carries
+		// the first violated indicator's signal:<indicator> site.
+		d.Register(watchdog.NewChecker(CheckersSignal, func(ctx *watchdog.Context) error {
+			var errs []error
+			for _, c := range indicators {
+				errs = append(errs, c.Check(ctx))
+			}
+			return errors.Join(errs...)
+		}), ready)
+		return func() error { return nil }, nil
+	case CheckersHandler:
+		d.Register(watchdog.NewChecker(CheckersHandler, func(*watchdog.Context) error {
+			if err := lastSet.Load(); err != nil {
+				return *err
+			}
+			return nil
+		}), ready)
+		return func() error { return nil }, nil
+	case CheckersHeartbeat:
+		timeout := d.DefaultTimeout()
+		hb := detect.NewHeartbeat(d.Clock(), timeout)
+		hb.Beat() // a feeder that never ran is suspected too
+
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			tick := time.NewTicker(timeout / 10)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					hb.Beat()
+				}
+			}
+		}()
+		d.Register(watchdog.NewChecker(CheckersHeartbeat, func(*watchdog.Context) error {
+			if hb.Suspect() {
+				return fmt.Errorf("no heartbeat within %v", timeout)
+			}
+			return nil
+		}), ready)
+		return func() error {
+			close(stop)
+			<-done
+			return nil
+		}, nil
+	}
+	return nil, fmt.Errorf("campaign: no detector arm %q", source)
 }
 
 // dfsAblationPoints: the reduced dfs.disk checker probes both the write and
@@ -185,7 +323,7 @@ var dfsAblationPoints = []ablationPoint{
 // suite(s). Four blocks are committed up front so the mined ScanBlocks
 // checker traverses both volumes' read points from the first tick.
 func NewDFSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target, error) {
-	if err := validAblationSource(source); err != nil {
+	if err := validAblationSource("dfs", source); err != nil {
 		return nil, err
 	}
 	factory := watchdog.NewFactory()

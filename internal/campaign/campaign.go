@@ -5,10 +5,11 @@
 // detection latency, false positives in fault-free phases, breaker trips,
 // damped alarms, hang-budget skips, and recovery outcomes.
 //
-// The runner is the closed-loop complement of internal/experiment: where the
-// experiments measure one detector property at a time, a campaign exercises
-// the whole loop (checker → breaker → alarm gate → recovery → health reset)
-// under adversarial timing and emits a machine-readable Verdict for CI.
+// A campaign exercises the whole loop (checker → breaker → alarm gate →
+// recovery → health reset) under adversarial timing and emits a
+// machine-readable Verdict for CI. The same runner scores the paper's detector
+// comparison (Tables 1–2): the kvs ablation target swaps the checker suite for
+// one detector at a time under one fault schedule (see ablation.go).
 //
 // Time is tick-stepped: every tick the runner arms/disarms scheduled faults,
 // runs the target's workload step, executes every checker once via
@@ -331,6 +332,9 @@ func (r *runner) observeReport(rep watchdog.Report) {
 			lf.ev.Detected = true
 			lf.ev.DetectTick = r.tick
 			lf.ev.DetectLatencyNS = int64(rep.Time.Sub(lf.ev.armedAt))
+			if !rep.Site.IsZero() {
+				lf.ev.Site = rep.Site.String()
+			}
 		}
 		return
 	}

@@ -223,8 +223,8 @@ func NewKVSTarget(dir string, opts ...wdruntime.Option) (*Target, error) {
 		Step: func(tick int) {
 			// Foreground traffic keeps the hook-fed contexts fresh. Writes
 			// can hang on an armed WAL point, so they are abandoned, not
-			// awaited — exactly how table1's workload treats them. At most
-			// one write is in flight so Close can drain deterministically.
+			// awaited. At most one write is in flight so Close can drain
+			// deterministically.
 			if !inflight.CompareAndSwap(false, true) {
 				return
 			}

@@ -22,6 +22,10 @@ type FaultOutcome struct {
 	// the fault's checker while the fault (or its residue) was live.
 	DetectTick      int   `json:"detect_tick,omitempty"`
 	DetectLatencyNS int64 `json:"detect_latency_ns,omitempty"`
+	// Site is the pinpoint of that first detecting report: a code site
+	// (function/op@file:line) from a mimic checker, "signal:<indicator>" from
+	// a signal checker, empty from a detector that cannot localize.
+	Site string `json:"site,omitempty"`
 
 	armedAt time.Time
 }

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -54,188 +53,5 @@ func TestHeartbeatMissesPartialFailure(t *testing.T) {
 	}
 	if h.Suspect() {
 		t.Fatal("heartbeat detector suspected a process with a live heartbeat thread")
-	}
-}
-
-func TestPhiAccrualRisesWithSilence(t *testing.T) {
-	v := clock.NewVirtual()
-	p := NewPhiAccrual(v, 16, 100*time.Millisecond)
-	for i := 0; i < 10; i++ {
-		p.Beat()
-		v.Advance(time.Second)
-	}
-	p.Beat()
-	low := p.Phi()
-	v.Advance(30 * time.Second)
-	high := p.Phi()
-	if high <= low {
-		t.Fatalf("phi did not rise with silence: %v -> %v", low, high)
-	}
-	if !p.Suspect(1) {
-		t.Fatalf("phi = %v, expected suspicion after 30s silence", high)
-	}
-}
-
-func TestPhiAccrualLowRightAfterBeat(t *testing.T) {
-	v := clock.NewVirtual()
-	p := NewPhiAccrual(v, 16, 100*time.Millisecond)
-	if p.Phi() != 0 {
-		t.Fatal("phi nonzero with <2 beats")
-	}
-	for i := 0; i < 5; i++ {
-		p.Beat()
-		v.Advance(time.Second)
-	}
-	p.Beat()
-	if p.Suspect(1) {
-		t.Fatalf("suspected immediately after beat, phi=%v", p.Phi())
-	}
-}
-
-func TestProberSuspectAfterKFailures(t *testing.T) {
-	v := clock.NewVirtual()
-	fail := false
-	p := NewProber(v, time.Hour, 3, func() error {
-		if fail {
-			return errors.New("refused")
-		}
-		return nil
-	})
-	for i := 0; i < 5; i++ {
-		if err := p.ProbeOnce(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.Suspect() {
-		t.Fatal("suspect after successes")
-	}
-	fail = true
-	p.ProbeOnce()
-	p.ProbeOnce()
-	if p.Suspect() {
-		t.Fatal("suspect before k failures")
-	}
-	p.ProbeOnce()
-	if !p.Suspect() {
-		t.Fatal("not suspect after k failures")
-	}
-	// One success resets the streak.
-	fail = false
-	p.ProbeOnce()
-	if p.Suspect() {
-		t.Fatal("suspect after success reset")
-	}
-	att, f := p.Stats()
-	if att != 9 || f != 3 {
-		t.Fatalf("stats = %d, %d", att, f)
-	}
-}
-
-func TestProberTimeout(t *testing.T) {
-	v := clock.NewVirtual()
-	block := make(chan struct{})
-	started := make(chan struct{}, 4)
-	p := NewProber(v, 5*time.Second, 1, func() error {
-		started <- struct{}{}
-		<-block
-		return nil
-	})
-	errCh := make(chan error, 1)
-	go func() { errCh <- p.ProbeOnce() }()
-	<-started
-	v.BlockUntil(1)
-	v.Advance(5 * time.Second)
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrProbeTimeout) {
-			t.Fatalf("err = %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("ProbeOnce did not return after timeout")
-	}
-	if !p.Suspect() {
-		t.Fatal("not suspect after timeout with k=1")
-	}
-	close(block)
-}
-
-func TestProberPanicIsFailure(t *testing.T) {
-	v := clock.NewVirtual()
-	p := NewProber(v, time.Hour, 1, func() error { panic("probe crashed") })
-	if err := p.ProbeOnce(); err == nil {
-		t.Fatal("panicking probe reported success")
-	}
-	if !p.Suspect() {
-		t.Fatal("not suspect after panic")
-	}
-}
-
-func TestPanoramaNegativeDominates(t *testing.T) {
-	v := clock.NewVirtual()
-	p := NewPanorama(v, time.Minute)
-	if p.VerdictFor("kvs") != VerdictPending {
-		t.Fatal("verdict before evidence")
-	}
-	p.Report(Observation{Observer: "client1", Subject: "kvs", Context: "get", Status: ObsHealthy})
-	if p.VerdictFor("kvs") != VerdictHealthy {
-		t.Fatal("not healthy after positive evidence")
-	}
-	p.Report(Observation{Observer: "client2", Subject: "kvs", Context: "set", Status: ObsUnhealthy})
-	if p.VerdictFor("kvs") != VerdictUnhealthy {
-		t.Fatal("negative evidence did not dominate")
-	}
-	neg, pos := p.Evidence("kvs")
-	if neg != 1 || pos != 1 {
-		t.Fatalf("evidence = %d neg, %d pos", neg, pos)
-	}
-}
-
-func TestPanoramaRecoveryOnSameContext(t *testing.T) {
-	v := clock.NewVirtual()
-	p := NewPanorama(v, time.Minute)
-	p.Report(Observation{Observer: "c", Subject: "s", Context: "set", Status: ObsUnhealthy})
-	v.Advance(time.Second)
-	// The same observer/context succeeding later supersedes the negative.
-	p.Report(Observation{Observer: "c", Subject: "s", Context: "set", Status: ObsHealthy})
-	if got := p.VerdictFor("s"); got != VerdictHealthy {
-		t.Fatalf("verdict = %v, want healthy", got)
-	}
-}
-
-func TestPanoramaEvidenceExpires(t *testing.T) {
-	v := clock.NewVirtual()
-	p := NewPanorama(v, time.Minute)
-	p.Report(Observation{Observer: "c", Subject: "s", Context: "get", Status: ObsUnhealthy})
-	if p.VerdictFor("s") != VerdictUnhealthy {
-		t.Fatal("not unhealthy with fresh negative evidence")
-	}
-	v.Advance(2 * time.Minute)
-	if got := p.VerdictFor("s"); got != VerdictPending {
-		t.Fatalf("verdict with stale evidence = %v, want pending", got)
-	}
-}
-
-func TestPanoramaBlindToUnexercisedPaths(t *testing.T) {
-	// Panorama only sees what requesters exercise: if clients only GET, a
-	// broken flusher produces no negative evidence and the verdict stays
-	// healthy — the limitation that motivates intrinsic watchdogs (§1).
-	v := clock.NewVirtual()
-	p := NewPanorama(v, time.Minute)
-	for i := 0; i < 50; i++ {
-		p.Report(Observation{Observer: "client", Subject: "kvs", Context: "get", Status: ObsHealthy})
-		v.Advance(time.Second)
-	}
-	if p.VerdictFor("kvs") != VerdictHealthy {
-		t.Fatal("healthy GETs should yield healthy verdict despite broken flusher")
-	}
-}
-
-func TestStatusAndVerdictStrings(t *testing.T) {
-	if ObsHealthy.String() != "healthy" || ObsUnhealthy.String() != "unhealthy" {
-		t.Fatal("ObsStatus strings")
-	}
-	if VerdictPending.String() != "pending" || VerdictHealthy.String() != "healthy" ||
-		VerdictUnhealthy.String() != "unhealthy" {
-		t.Fatal("Verdict strings")
 	}
 }

@@ -1,23 +1,19 @@
-// Package detect implements the extrinsic failure detectors the paper
-// compares watchdogs against (Table 1, §6): heartbeat-based crash failure
-// detectors (simple timeout and φ-accrual), an external ping prober, and a
-// Panorama-style requester-side observer with verdict aggregation.
+// Package detect implements the extrinsic crash failure detector the paper
+// compares watchdogs against (Table 1, §6): a timeout-based heartbeat.
 //
-// These detectors treat the monitored software as a coarse-grained node: a
+// The detector treats the monitored software as a coarse-grained node: a
 // process is assumed healthy as long as it does *something* periodically.
-// The experiments show exactly where that assumption breaks — a process
-// whose heartbeat thread is alive while its request pipeline is wedged
-// (ZOOKEEPER-2201) stays "healthy" forever under every detector in this
-// package.
+// That assumption is exactly where it breaks — a process whose heartbeat
+// thread is alive while its request pipeline is wedged (ZOOKEEPER-2201) stays
+// "healthy" forever. The campaign package's heartbeat detector arm measures
+// this on kvs; coordd serves it next to the watchdog for contrast.
 package detect
 
 import (
-	"math"
 	"sync"
 	"time"
 
 	"gowatchdog/internal/clock"
-	"gowatchdog/internal/gauge"
 )
 
 // Heartbeat is a simple timeout-based crash failure detector. The monitored
@@ -72,64 +68,3 @@ func (h *Heartbeat) Beats() int64 {
 	defer h.mu.Unlock()
 	return h.beats
 }
-
-// PhiAccrual is the φ-accrual failure detector: instead of a binary timeout
-// it outputs a suspicion level φ = -log10(P(beat still pending)), assuming
-// inter-arrival times are normally distributed over a sliding window.
-type PhiAccrual struct {
-	clk clock.Clock
-
-	mu        sync.Mutex
-	last      time.Time
-	intervals *gauge.Window
-	beats     int64
-	minStdDev time.Duration
-}
-
-// NewPhiAccrual returns a φ-accrual detector with a window of the last n
-// inter-arrival samples. minStdDev guards against a zero variance when
-// beats are perfectly regular (as on a virtual clock).
-func NewPhiAccrual(clk clock.Clock, n int, minStdDev time.Duration) *PhiAccrual {
-	if minStdDev <= 0 {
-		minStdDev = 10 * time.Millisecond
-	}
-	return &PhiAccrual{clk: clk, intervals: gauge.NewWindow(n), minStdDev: minStdDev}
-}
-
-// Beat records a heartbeat arrival.
-func (p *PhiAccrual) Beat() {
-	p.mu.Lock()
-	now := p.clk.Now()
-	if p.beats > 0 {
-		p.intervals.Observe(float64(now.Sub(p.last)))
-	}
-	p.last = now
-	p.beats++
-	p.mu.Unlock()
-}
-
-// Phi returns the current suspicion level. 0 means just heard from the
-// subject; conventionally φ ≥ 8 is treated as failed.
-func (p *PhiAccrual) Phi() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.beats < 2 || p.intervals.Len() == 0 {
-		return 0
-	}
-	mean := p.intervals.Mean()
-	std := p.intervals.Std()
-	if std < float64(p.minStdDev) {
-		std = float64(p.minStdDev)
-	}
-	elapsed := float64(p.clk.Since(p.last))
-	// P(no beat yet) under N(mean, std); φ = -log10 of the tail probability.
-	y := (elapsed - mean) / std
-	tail := 0.5 * math.Erfc(y/math.Sqrt2)
-	if tail < 1e-12 {
-		tail = 1e-12
-	}
-	return -math.Log10(tail)
-}
-
-// Suspect reports whether φ exceeds the given threshold.
-func (p *PhiAccrual) Suspect(threshold float64) bool { return p.Phi() >= threshold }

@@ -124,18 +124,23 @@ func TestPartialVolumeFaultOnlyAffectsThatVolume(t *testing.T) {
 }
 
 func TestPermissionsCheckerMissesIOFault(t *testing.T) {
-	// The v1 checker passes while volume 0 fails all real I/O — the paper's
-	// motivating inadequacy.
-	dn := newNode(t, 2, nil)
-	dn.Injector().Arm(FaultVolumeWritePrefix+"0", faultinject.Fault{Kind: faultinject.Error})
-	d := watchdog.New()
-	dn.InstallWatchdog(d)
-	rep, err := d.CheckNow("dfs.disk.v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != watchdog.StatusHealthy {
-		t.Fatalf("v1 checker = %v, expected (wrongly) healthy", rep.Status)
+	// The v1 checker passes while volume 0 fails or blocks all real I/O —
+	// the paper's motivating inadequacy (E8).
+	for _, kind := range []faultinject.Kind{faultinject.Error, faultinject.Hang} {
+		t.Run(kind.String(), func(t *testing.T) {
+			dn := newNode(t, 2, nil)
+			dn.Injector().Arm(FaultVolumeWritePrefix+"0", faultinject.Fault{Kind: kind})
+			defer dn.Injector().Clear()
+			d := watchdog.New()
+			dn.InstallWatchdog(d)
+			rep, err := d.CheckNow("dfs.disk.v1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Status != watchdog.StatusHealthy {
+				t.Fatalf("v1 checker = %v, expected (wrongly) healthy", rep.Status)
+			}
+		})
 	}
 }
 

@@ -43,8 +43,6 @@ const (
 	// Panic panics at the fault point, modelling a crashing defect confined
 	// to one goroutine.
 	Panic
-	// Leak retains memory on every firing, modelling a memory leak.
-	Leak
 	// Flap alternates deterministically between firing an error and passing
 	// on a FlapOn/FlapOff cycle, modelling an intermittent fault (a link
 	// that drops every other packet, a disk that fails in bursts). Campaigns
@@ -76,8 +74,6 @@ func (k Kind) String() string {
 		return "corrupt"
 	case Panic:
 		return "panic"
-	case Leak:
-		return "leak"
 	case Flap:
 		return "flap"
 	case Drop:
@@ -109,9 +105,6 @@ type Fault struct {
 	Prob float64
 	// Count limits how many times the fault fires; 0 means unlimited.
 	Count int
-	// LeakBytes is the number of bytes retained per firing for Leak faults
-	// (default 1 MiB).
-	LeakBytes int
 	// FlapOn and FlapOff shape Flap faults: each cycle errors FlapOn
 	// invocations, then passes FlapOff invocations. Zero values default
 	// to 1, i.e. strict alternation. For Flap faults, Fired (and the Count
@@ -135,8 +128,6 @@ type Injector struct {
 	points  map[string]*armed
 	rng     *rand.Rand
 	rngMu   sync.Mutex
-	leaked  [][]byte
-	leakMu  sync.Mutex
 	hanging atomic.Int64 // goroutines currently blocked in a Hang
 }
 
@@ -181,8 +172,7 @@ func (in *Injector) Disarm(point string) {
 	in.mu.Unlock()
 }
 
-// Clear disarms every point, releases all hanging goroutines and frees leaked
-// memory.
+// Clear disarms every point and releases all hanging goroutines.
 func (in *Injector) Clear() {
 	in.mu.Lock()
 	for p, a := range in.points {
@@ -191,9 +181,6 @@ func (in *Injector) Clear() {
 	}
 	in.any.Store(false)
 	in.mu.Unlock()
-	in.leakMu.Lock()
-	in.leaked = nil
-	in.leakMu.Unlock()
 }
 
 // Fired reports how many times the fault at point has fired. It reports 0
@@ -363,19 +350,6 @@ func (in *Injector) fireArmed(point string, a *armed) error {
 		panic(PanicValue{Point: point})
 	case Flap:
 		return in.flapErr(point, a, seq)
-	case Leak:
-		n := a.fault.LeakBytes
-		if n <= 0 {
-			n = 1 << 20
-		}
-		block := make([]byte, n)
-		// Touch the memory so it is actually committed.
-		for i := 0; i < len(block); i += 4096 {
-			block[i] = 1
-		}
-		in.leakMu.Lock()
-		in.leaked = append(in.leaked, block)
-		in.leakMu.Unlock()
 	}
 	return nil
 }

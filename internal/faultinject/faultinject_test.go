@@ -195,29 +195,6 @@ func TestProbabilisticFiring(t *testing.T) {
 	}
 }
 
-func TestLeakFaultRetainsMemory(t *testing.T) {
-	in := New(clock.Real())
-	in.Arm("mem", Fault{Kind: Leak, LeakBytes: 4096})
-	for i := 0; i < 3; i++ {
-		if err := in.Fire("mem"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	in.leakMu.Lock()
-	n := len(in.leaked)
-	in.leakMu.Unlock()
-	if n != 3 {
-		t.Fatalf("leaked blocks = %d, want 3", n)
-	}
-	in.Clear()
-	in.leakMu.Lock()
-	n = len(in.leaked)
-	in.leakMu.Unlock()
-	if n != 0 {
-		t.Fatal("Clear did not free leaked blocks")
-	}
-}
-
 func TestArmNonePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -263,7 +240,8 @@ func TestRearmReleasesPreviousHang(t *testing.T) {
 func TestKindString(t *testing.T) {
 	kinds := map[Kind]string{
 		None: "none", Delay: "delay", Error: "error", Hang: "hang",
-		Corrupt: "corrupt", Panic: "panic", Leak: "leak", Kind(99): "Kind(99)",
+		Corrupt: "corrupt", Panic: "panic", Flap: "flap", Drop: "drop",
+		Duplicate: "duplicate", Kind(99): "Kind(99)",
 	}
 	for k, want := range kinds {
 		if k.String() != want {

@@ -417,38 +417,11 @@ func (s *Store) replChecker() watchdog.Checker {
 	})
 }
 
-// MimicCheckers returns the generated-style mimic suite in coverage order
-// (broadest first), paired with whether each needs a hook-fed context.
-// Experiments use it to register checker subsets; InstallWatchdog registers
-// the full set.
-func (s *Store) MimicCheckers(shadow *wdio.FS) []struct {
-	Checker   watchdog.Checker
-	HookGated bool
-} {
-	out := []struct {
-		Checker   watchdog.Checker
-		HookGated bool
-	}{
-		{s.partitionChecker(), false},
-		{s.flusherChecker(shadow), true},
-		{s.compactionChecker(shadow), false},
-		{s.walChecker(shadow), true},
-		{s.indexerChecker(), true},
-	}
-	if s.repl != nil {
-		out = append(out, struct {
-			Checker   watchdog.Checker
-			HookGated bool
-		}{s.replChecker(), true})
-	}
-	return out
-}
-
 // InstallSignalCheckers registers the lightweight signal-checker suite
 // (Table 2's middle row) alongside the mimic suite: resource indicators and
 // progress/queue heuristics over the store's metric registry. These are
-// cheap and easy to construct but trade accuracy for it — see experiment
-// E2.
+// cheap and easy to construct but trade accuracy for it — see the signal
+// detector arm of the campaign package (EXPERIMENTS.md E2).
 func (s *Store) InstallSignalCheckers(d *watchdog.Driver, heapLimit uint64, goroutineLimit int) {
 	ready := func() *watchdog.Context {
 		c := watchdog.NewContext()

@@ -241,19 +241,32 @@ func TestAlarmThresholdAndReset(t *testing.T) {
 	}
 }
 
+// TestAlarmValidation is the §5.1 validation chain (E9): a mimic alarm is
+// assessed by a validator (in production, a probe of client-visible impact),
+// which either confirms it or suppresses it as having no impact.
 func TestAlarmValidation(t *testing.T) {
-	d := New()
-	d.Register(NewChecker("mimic", func(*Context) error { return errors.New("x") }),
-		ValidateWith(func(Report) bool { return true }))
-	d.Factory().Context("mimic").MarkReady()
-	var got *Alarm
-	d.OnAlarm(func(a Alarm) { got = &a })
-	d.CheckNow("mimic")
-	if got == nil {
-		t.Fatal("no alarm")
-	}
-	if got.Validated == nil || !*got.Validated {
-		t.Fatalf("Validated = %v, want true", got.Validated)
+	for _, tc := range []struct {
+		name      string
+		impactful bool
+	}{
+		{"confirming", true},
+		{"suppressing", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New()
+			d.Register(NewChecker("mimic", func(*Context) error { return errors.New("x") }),
+				ValidateWith(func(Report) bool { return tc.impactful }))
+			d.Factory().Context("mimic").MarkReady()
+			var got *Alarm
+			d.OnAlarm(func(a Alarm) { got = &a })
+			d.CheckNow("mimic")
+			if got == nil {
+				t.Fatal("no alarm")
+			}
+			if got.Validated == nil || *got.Validated != tc.impactful {
+				t.Fatalf("Validated = %v, want %v", got.Validated, tc.impactful)
+			}
+		})
 	}
 }
 

@@ -324,9 +324,12 @@ func TestQueueDropsAndRetries(t *testing.T) {
 	m.Start()
 	defer m.Close()
 
-	waitFor(t, 3*time.Second, "send failures and queue drops", func() bool {
+	// Suspicion comes from the gossip tick after SuspectAfter, not from the
+	// failed sends, so wait for it too rather than racing it.
+	waitFor(t, 3*time.Second, "send failures, queue drops and suspicion", func() bool {
 		snap := m.Snapshot()
-		return snap.SendFailures > 0 && snap.SendRetries > 0 && snap.QueueDrops > 0
+		return snap.SendFailures > 0 && snap.SendRetries > 0 && snap.QueueDrops > 0 &&
+			snap.PeersSuspect == 1
 	})
 	snap := m.Snapshot()
 	if snap.MessagesSent != 0 {

@@ -7,37 +7,6 @@ import (
 	"time"
 )
 
-// Counter is a lock-free, monotonically increasing count. The zero value is
-// ready to use.
-type Counter struct {
-	n atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Add adds d, which must be non-negative.
-func (c *Counter) Add(d int64) {
-	if d < 0 {
-		panic(fmt.Sprintf("wdobs: negative counter add %d", d))
-	}
-	c.n.Add(d)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
-
-// Gauge is a lock-free, settable float64. The zero value is ready to use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // DefaultLatencyBuckets spans checker latencies from microsecond in-memory
 // checks through the multi-second liveness timeouts of the paper's §4.2
 // configuration (1 s interval, 6 s timeout).

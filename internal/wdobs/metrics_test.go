@@ -6,32 +6,6 @@ import (
 	"time"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("Value = %d, want 5", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Add did not panic")
-		}
-	}()
-	c.Add(-1)
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	if got := g.Value(); got != 0 {
-		t.Fatalf("zero gauge = %v, want 0", got)
-	}
-	g.Set(3.5)
-	if got := g.Value(); got != 3.5 {
-		t.Fatalf("Value = %v, want 3.5", got)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram(time.Millisecond, 10*time.Millisecond, 100*time.Millisecond)
 	h.Observe(500 * time.Microsecond) // bucket 0
@@ -151,23 +125,5 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if total != s.Count {
 		t.Fatalf("bucket sum %d != count %d after quiescence", total, s.Count)
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 8000 {
-		t.Fatalf("Value = %d, want 8000", got)
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // ScrapeClient fetches /watchdog snapshots from a wdobs server with an
-// explicit per-attempt timeout and a single backoff-delayed retry. The CLI
-// scrapers (wdstat, wdbench -scrape) share it so a momentarily busy daemon —
+// explicit per-attempt timeout and a single backoff-delayed retry. wdstat
+// scrapes through it so a momentarily busy daemon —
 // exactly the condition a watchdog inspection tool is pointed at — gets one
 // second chance instead of either an instant failure or an unbounded hang.
 type ScrapeClient struct {

@@ -23,7 +23,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gowatchdog/internal/gauge"
 	"gowatchdog/internal/supervise/episode"
@@ -37,9 +36,9 @@ const numStatuses = int(watchdog.StatusSkipped) + 1
 
 // checkerMetrics aggregates one checker's execution telemetry.
 type checkerMetrics struct {
-	runs        [numStatuses]Counter // executions by resulting status
-	transitions Counter              // status changes between consecutive reports
-	latency     *Histogram           // execution latency (skips context-pending)
+	runs        [numStatuses]gauge.Counter // executions by resulting status
+	transitions gauge.Counter              // status changes between consecutive reports
+	latency     *Histogram                 // execution latency (skips context-pending)
 }
 
 // Obs is the observability subsystem for one driver. Create it with New,
@@ -48,7 +47,6 @@ type checkerMetrics struct {
 type Obs struct {
 	journalCap int
 	sinkW      io.Writer
-	buckets    []time.Duration
 
 	mu       sync.RWMutex
 	checkers map[string]*checkerMetrics
@@ -67,8 +65,8 @@ type Obs struct {
 	last atomic.Pointer[checkerCacheEntry]
 
 	journal *Journal
-	reports Counter
-	alarms  Counter
+	reports gauge.Counter
+	alarms  gauge.Counter
 }
 
 // Option configures an Obs.
@@ -80,11 +78,6 @@ func WithJournal(capacity int) Option { return func(o *Obs) { o.journalCap = cap
 // WithSink streams every journal event to w as JSONL.
 func WithSink(w io.Writer) Option { return func(o *Obs) { o.sinkW = w } }
 
-// WithLatencyBuckets overrides the latency histogram bucket bounds.
-func WithLatencyBuckets(bounds ...time.Duration) Option {
-	return func(o *Obs) { o.buckets = append([]time.Duration(nil), bounds...) }
-}
-
 // WithRegistry additionally exports the main program's gauge.Registry — the
 // same metrics signal checkers sample — on /metrics as app_* series.
 func WithRegistry(r *gauge.Registry) Option { return func(o *Obs) { o.registry = r } }
@@ -93,7 +86,6 @@ func WithRegistry(r *gauge.Registry) Option { return func(o *Obs) { o.registry =
 func New(opts ...Option) *Obs {
 	o := &Obs{
 		journalCap: 512,
-		buckets:    DefaultLatencyBuckets,
 		checkers:   make(map[string]*checkerMetrics),
 	}
 	for _, opt := range opts {
@@ -136,7 +128,7 @@ func (o *Obs) checker(name string) *checkerMetrics {
 	if !ok {
 		o.mu.Lock()
 		if cm, ok = o.checkers[name]; !ok {
-			cm = &checkerMetrics{latency: NewHistogram(o.buckets...)}
+			cm = &checkerMetrics{latency: NewHistogram()}
 			o.checkers[name] = cm
 		}
 		o.mu.Unlock()

@@ -43,7 +43,6 @@ func (rt *Runtime) setupCEP() error {
 	}
 	eng, err := wdcep.NewEngine(wdcep.Config{
 		Rules:       rules,
-		RingSize:    rt.cfg.CEPRingSize,
 		EvalEvery:   evalEvery,
 		GaugeSource: registryGaugeSource(rt.cfg.Registry),
 		OnFire:      rt.onCEPFire,

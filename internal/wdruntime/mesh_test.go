@@ -3,6 +3,7 @@ package wdruntime_test
 import (
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,7 +26,7 @@ func meshRuntime(t *testing.T, net *wdmesh.MemNetwork, self string, peers []stri
 		wdruntime.WithMeshTransport(net.Node(self)),
 		wdruntime.WithMeshInterval(10*time.Millisecond),
 		wdruntime.WithMeshSuspectAfter(80*time.Millisecond),
-		wdruntime.WithObsOptions(wdobs.WithJournal(256)),
+		wdruntime.WithJournalSink(io.Discard),
 	)
 	if err != nil {
 		t.Fatalf("New(%s): %v", self, err)

@@ -112,9 +112,6 @@ type Config struct {
 	// CEPRulesFile, when non-empty, loads additional rules from a JSON rule
 	// file (appended after CEPRules).
 	CEPRulesFile string
-	// CEPRingSize overrides the engine's event ring capacity (0 = the wdcep
-	// default; rounded up to a power of two).
-	CEPRingSize int
 	// CEPEvalEvery floors the time between rule-evaluation passes
 	// (0 = Interval).
 	CEPEvalEvery time.Duration
@@ -148,14 +145,6 @@ type Config struct {
 	// ObserveReport on reports) before any other listener, and waited on
 	// during Close.
 	Recovery *recovery.Manager
-
-	// DriverOptions are appended verbatim after the options derived from the
-	// fields above, so they win on conflict (escape hatch for driver knobs
-	// the Config does not model, e.g. WithHistory).
-	DriverOptions []watchdog.Option
-	// ObsOptions are prepended to the derived wdobs options. Setting any
-	// forces the observability layer on even without ObsAddr/JournalPath.
-	ObsOptions []wdobs.Option
 }
 
 // maxEpisodesInSnapshot caps how many episode entries one /watchdog snapshot
@@ -224,9 +213,6 @@ func WithCEPRules(rules ...wdcep.Rule) Option {
 // WithCEPRulesFile loads temporal rules from a JSON rule file.
 func WithCEPRulesFile(path string) Option { return func(c *Config) { c.CEPRulesFile = path } }
 
-// WithCEPRingSize overrides the engine's event ring capacity.
-func WithCEPRingSize(n int) Option { return func(c *Config) { c.CEPRingSize = n } }
-
 // WithCEPEvalEvery floors the time between rule-evaluation passes.
 func WithCEPEvalEvery(d time.Duration) Option { return func(c *Config) { c.CEPEvalEvery = d } }
 
@@ -259,16 +245,6 @@ func WithClock(clk clock.Clock) Option { return func(c *Config) { c.Clock = clk 
 
 // WithRecovery wires the manager to the driver and waits on it during Close.
 func WithRecovery(m *recovery.Manager) Option { return func(c *Config) { c.Recovery = m } }
-
-// WithDriverOptions appends raw driver options after the derived ones.
-func WithDriverOptions(opts ...watchdog.Option) Option {
-	return func(c *Config) { c.DriverOptions = append(c.DriverOptions, opts...) }
-}
-
-// WithObsOptions appends raw wdobs options (and forces the obs layer on).
-func WithObsOptions(opts ...wdobs.Option) Option {
-	return func(c *Config) { c.ObsOptions = append(c.ObsOptions, opts...) }
-}
 
 // Runtime owns one composed watchdog stack: driver, observability, journal
 // sink, and recovery manager, with a deterministic shutdown ordering.
@@ -345,13 +321,12 @@ func New(opts ...Option) (*Runtime, error) {
 	if cfg.HangBudget > 0 {
 		dopts = append(dopts, watchdog.WithHangBudget(cfg.HangBudget))
 	}
-	dopts = append(dopts, cfg.DriverOptions...)
 
 	rt := &Runtime{cfg: cfg, driver: watchdog.New(dopts...), rec: cfg.Recovery}
 
-	if cfg.ObsAddr != "" || cfg.JournalPath != "" || cfg.JournalSink != nil || len(cfg.ObsOptions) > 0 ||
+	if cfg.ObsAddr != "" || cfg.JournalPath != "" || cfg.JournalSink != nil ||
 		len(cfg.CEPRules) > 0 || cfg.CEPRulesFile != "" {
-		oopts := append([]wdobs.Option(nil), cfg.ObsOptions...)
+		var oopts []wdobs.Option
 		if cfg.Registry != nil {
 			oopts = append(oopts, wdobs.WithRegistry(cfg.Registry))
 		}
