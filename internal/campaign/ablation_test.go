@@ -1,12 +1,8 @@
 package campaign
 
 import (
-	"cmp"
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"text/tabwriter"
 	"time"
 
 	"gowatchdog/internal/dfs"
@@ -147,119 +143,29 @@ func TestAblationSourceValidation(t *testing.T) {
 	}
 }
 
-// detectorArms are the arms of the Table 1–2 comparison: the reduced mimic
-// suite against the detectors the paper compares it with.
-var detectorArms = []string{CheckersReduced, CheckersProbe, CheckersSignal, CheckersHandler, CheckersHeartbeat}
-
-// detectorArmsCfg is the Table 1–2 fault sweep: foreground and background
-// faults, hangs and explicit errors, and a fail-slow flush delayed to three
-// times the 250ms checker timeout. Faults are spaced so a detector arm's one
-// checker can report healthy between them. The fail-slow fault is armed for
-// one tick: the runner waits out each abandoned delayed execution before the
-// next tick, so every tick it stays armed costs a full delay.
-func detectorArmsCfg() Config {
-	hang := faultinject.Fault{Kind: faultinject.Hang}
-	fail := faultinject.Fault{Kind: faultinject.Error}
-	slow := faultinject.Fault{Kind: faultinject.Delay, Delay: 750 * time.Millisecond}
-	return Config{
-		Interval:      5 * time.Millisecond,
-		WarmupTicks:   4,
-		StormTicks:    30,
-		CooldownTicks: 8,
-		GraceTicks:    4,
-		// Most arms miss most faults: the misses are the measurement.
-		MinDetectionRate: 0.01,
-		Script: []ScriptedFault{
-			{Tick: 4, Point: kvs.FaultFlushWrite, Fault: hang, DurationTicks: 3},
-			{Tick: 9, Point: kvs.FaultFlushWrite, Fault: fail, DurationTicks: 3},
-			{Tick: 14, Point: kvs.FaultCompactMerge, Fault: hang, DurationTicks: 3},
-			{Tick: 19, Point: kvs.FaultWALAppend, Fault: fail, DurationTicks: 3},
-			{Tick: 24, Point: kvs.FaultIndexerGet, Fault: fail, DurationTicks: 3},
-			{Tick: 29, Point: kvs.FaultFlushWrite, Fault: slow, DurationTicks: 1},
-		},
-	}
-}
-
-// isCodeSite reports whether a verdict site names a function and a
-// file:line (function/op@file:line), the pinpoint a mimic checker gives.
-func isCodeSite(site string) bool {
-	fnOp, loc, ok := strings.Cut(site, "@")
-	fn, _, _ := strings.Cut(fnOp, "/")
-	return ok && fn != "" && strings.Contains(loc, ":")
-}
-
 // TestDetectorArms reproduces Tables 1–2 (EXPERIMENTS.md E1, E2, E10): one
 // scripted fault schedule on the kvs substrate, scored under the reduced
 // mimic suite and under each detector the paper compares it with. The arms
 // run side by side, each on its own store.
 func TestDetectorArms(t *testing.T) {
-	cfg := detectorArmsCfg()
-	verdicts := make(map[string]*Verdict, len(detectorArms))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, arm := range detectorArms {
-		tgt, err := NewKVSAblationTarget(t.TempDir(), arm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer tgt.Close()
-			v, err := Run(tgt, cfg)
-			// An abandoned fail-slow execution goes on to write its shadow
-			// table: let it finish before the directory goes.
-			for deadline := time.Now().Add(5 * time.Second); tgt.Driver.LeakedHung() > 0 && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-			if err != nil {
-				t.Errorf("%s: %v", arm, err)
-				return
-			}
-			mu.Lock()
-			verdicts[arm] = v
-			mu.Unlock()
-		}()
+	cfg := DetectorArmsConfig()
+	verdicts, err := RunDetectorArms(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	// The Table 1/2 matrix: one row per fault, one column per arm; a cell is
-	// the first detecting report's pinpoint ("-" when it had none) or MISSED.
-	var b strings.Builder
-	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "fault\t%s\n", strings.Join(detectorArms, "\t"))
-	for i, sf := range cfg.Script {
-		fmt.Fprintf(w, "%s %s", sf.Point, sf.Fault.Kind)
-		for _, arm := range detectorArms {
-			cell := "MISSED"
-			if f := verdicts[arm].Faults[i]; f.Detected {
-				cell = cmp.Or(f.Site, "-")
-			}
-			fmt.Fprintf(w, "\t%s", cell)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprint(w, "false positives")
-	for _, arm := range detectorArms {
-		fmt.Fprintf(w, "\t%d", verdicts[arm].FalsePositives)
-	}
-	fmt.Fprintln(w)
-	w.Flush()
-	t.Logf("detector arms (fault-free ticks %d):\n%s", verdicts[CheckersReduced].FaultFreeTicks, b.String())
+	t.Logf("detector arms (fault-free ticks %d):\n%s",
+		verdicts[CheckersReduced].FaultFreeTicks, RenderDetectorArms(cfg, verdicts))
 
 	reduced := verdicts[CheckersReduced]
 	if reduced.FalsePositives != 0 {
 		t.Errorf("reduced: %d false positives: %v", reduced.FalsePositives, reduced.FalsePositiveDetails)
 	}
 	for i, f := range reduced.Faults {
-		if !f.Detected || !isCodeSite(f.Site) {
+		if !f.Detected || !IsCodeSite(f.Site) {
 			t.Errorf("reduced: fault %d (%s %s) detected=%v site %q, want detected at a code site",
 				i, f.Point, f.Kind, f.Detected, f.Site)
 		}
-		for _, arm := range detectorArms[1:] {
+		for _, arm := range DetectorArms[1:] {
 			if verdicts[arm].Faults[i].Detected && !f.Detected {
 				t.Errorf("fault %d (%s %s): %s detected it, reduced did not", i, f.Point, f.Kind, arm)
 			}

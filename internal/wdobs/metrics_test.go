@@ -1,10 +1,100 @@
 package wdobs
 
 import (
+	"fmt"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"gowatchdog/internal/gauge"
+	"gowatchdog/internal/watchdog"
 )
+
+// TestCounter pins what Obs counts with its gauge.Counter fields: every
+// report, runs by resulting status (an out-of-range status counts as a
+// report only), transitions between consecutive reports but not into the
+// first, and alarms.
+func TestCounter(t *testing.T) {
+	o := New()
+	rep := func(s watchdog.Status) watchdog.Report { return watchdog.Report{Checker: "c", Status: s} }
+	o.ObserveReport(rep(watchdog.StatusHealthy), watchdog.StatusHealthy, true)
+	o.ObserveReport(rep(watchdog.StatusHealthy), watchdog.StatusHealthy, false)
+	o.ObserveReport(rep(watchdog.StatusError), watchdog.StatusHealthy, false)
+	o.ObserveReport(rep(watchdog.StatusError), watchdog.StatusError, false)
+	o.ObserveReport(rep(watchdog.Status(numStatuses)), watchdog.StatusError, false)
+	o.ObserveAlarm(watchdog.Alarm{Report: rep(watchdog.StatusError), Consecutive: 2})
+
+	if got := o.Reports(); got != 5 {
+		t.Errorf("Reports = %d, want 5", got)
+	}
+	if got := o.Alarms(); got != 1 {
+		t.Errorf("Alarms = %d, want 1", got)
+	}
+	cm := o.checker("c")
+	var runs int64
+	for s := range cm.runs {
+		runs += cm.runs[s].Value()
+	}
+	if h, e := cm.runs[watchdog.StatusHealthy].Value(), cm.runs[watchdog.StatusError].Value(); h != 2 || e != 2 || runs != 4 {
+		t.Errorf("runs healthy=%d error=%d total=%d, want 2, 2, 4", h, e, runs)
+	}
+	// healthy→error and error→out-of-range; the first report is no transition.
+	if got := cm.transitions.Value(); got != 2 {
+		t.Errorf("transitions = %d, want 2", got)
+	}
+}
+
+// TestCounterConcurrent observes reports from many goroutines across a few
+// checkers, so the per-checker counters are shared through the last-checker
+// cache and the map: no increment may be lost.
+func TestCounterConcurrent(t *testing.T) {
+	o := New()
+	const writers, perWriter = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				name := fmt.Sprintf("c%d", (w+i)%3)
+				o.ObserveReport(watchdog.Report{Checker: name, Status: watchdog.StatusError},
+					watchdog.StatusError, false)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := o.Reports(); got != writers*perWriter {
+		t.Fatalf("Reports = %d, want %d", got, writers*perWriter)
+	}
+	var runs int64
+	for i := 0; i < 3; i++ {
+		runs += o.checker(fmt.Sprintf("c%d", i)).runs[watchdog.StatusError].Value()
+	}
+	if runs != writers*perWriter {
+		t.Fatalf("error runs across checkers = %d, want %d", runs, writers*perWriter)
+	}
+}
+
+// TestGauge: /metrics reads the registry's gauge.Gauge live on every scrape,
+// so a value set after New shows up, and the next scrape sees the update.
+func TestGauge(t *testing.T) {
+	reg := gauge.NewRegistry()
+	o := New(WithRegistry(reg))
+	srv := httptest.NewServer(o.Handler())
+	defer srv.Close()
+
+	g := reg.Gauge("kvs.repl.queue")
+	for _, v := range []float64{3.5, 0, 42} {
+		g.Set(v)
+		_, body := get(t, srv, "/metrics")
+		want := fmt.Sprintf(`app_metric{name="kvs_repl_queue"} %g`, v)
+		if !strings.Contains(body, want+"\n") {
+			t.Fatalf("after Set(%v): /metrics missing %q:\n%s", v, want, body)
+		}
+	}
+}
 
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram(time.Millisecond, 10*time.Millisecond, 100*time.Millisecond)
