@@ -1,15 +1,12 @@
 package campaign
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 	"time"
 
 	"gowatchdog/internal/detect"
@@ -310,107 +307,6 @@ func registerDetectorArm(d *watchdog.Driver, source string, store *kvs.Store, la
 		}, nil
 	}
 	return nil, fmt.Errorf("campaign: no detector arm %q", source)
-}
-
-// DetectorArms are the arms of the Table 1–2 comparison: the reduced mimic
-// suite against the detectors the paper compares it with.
-var DetectorArms = []string{CheckersReduced, CheckersProbe, CheckersSignal, CheckersHandler, CheckersHeartbeat}
-
-// DetectorArmsConfig is the Table 1–2 fault sweep: foreground and background
-// faults, hangs and explicit errors, and a fail-slow flush delayed to three
-// times the 250ms checker timeout. Faults are spaced so a detector arm's one
-// checker can report healthy between them. The fail-slow fault is armed for
-// one tick: the runner waits out each abandoned delayed execution before the
-// next tick, so every tick it stays armed costs a full delay.
-func DetectorArmsConfig() Config {
-	hang := faultinject.Fault{Kind: faultinject.Hang}
-	fail := faultinject.Fault{Kind: faultinject.Error}
-	slow := faultinject.Fault{Kind: faultinject.Delay, Delay: 750 * time.Millisecond}
-	return Config{
-		Interval:      5 * time.Millisecond,
-		WarmupTicks:   4,
-		StormTicks:    30,
-		CooldownTicks: 8,
-		GraceTicks:    4,
-		// Most arms miss most faults: the misses are the measurement.
-		MinDetectionRate: 0.01,
-		Script: []ScriptedFault{
-			{Tick: 4, Point: kvs.FaultFlushWrite, Fault: hang, DurationTicks: 3},
-			{Tick: 9, Point: kvs.FaultFlushWrite, Fault: fail, DurationTicks: 3},
-			{Tick: 14, Point: kvs.FaultCompactMerge, Fault: hang, DurationTicks: 3},
-			{Tick: 19, Point: kvs.FaultWALAppend, Fault: fail, DurationTicks: 3},
-			{Tick: 24, Point: kvs.FaultIndexerGet, Fault: fail, DurationTicks: 3},
-			{Tick: 29, Point: kvs.FaultFlushWrite, Fault: slow, DurationTicks: 1},
-		},
-	}
-}
-
-// RunDetectorArms runs cfg under every detector arm side by side, each on its
-// own kvs store in a directory under dir, and returns the verdicts by arm.
-func RunDetectorArms(dir string, cfg Config) (map[string]*Verdict, error) {
-	verdicts := make(map[string]*Verdict, len(DetectorArms))
-	var (
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		errs []error
-	)
-	for _, arm := range DetectorArms {
-		tgt, err := NewKVSAblationTarget(filepath.Join(dir, arm), arm)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", arm, err))
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer tgt.Close()
-			v, err := Run(tgt, cfg)
-			// An abandoned fail-slow execution goes on to write its shadow
-			// table: let it finish before the caller removes dir.
-			for deadline := time.Now().Add(5 * time.Second); tgt.Driver.LeakedHung() > 0 && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("%s: %w", arm, err))
-				return
-			}
-			verdicts[arm] = v
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return verdicts, nil
-}
-
-// RenderDetectorArms formats the Table 1/2 matrix of RunDetectorArms: one row
-// per scripted fault, one column per arm. A cell is the first detecting
-// report's site ("-" when it had none) or MISSED.
-func RenderDetectorArms(cfg Config, verdicts map[string]*Verdict) string {
-	var b strings.Builder
-	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "fault\t%s\n", strings.Join(DetectorArms, "\t"))
-	for i, sf := range cfg.Script {
-		fmt.Fprintf(w, "%s %s", sf.Point, sf.Fault.Kind)
-		for _, arm := range DetectorArms {
-			cell := "MISSED"
-			if f := verdicts[arm].Faults[i]; f.Detected {
-				cell = cmp.Or(f.Site, "-")
-			}
-			fmt.Fprintf(w, "\t%s", cell)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprint(w, "false positives")
-	for _, arm := range DetectorArms {
-		fmt.Fprintf(w, "\t%d", verdicts[arm].FalsePositives)
-	}
-	fmt.Fprintln(w)
-	w.Flush()
-	return b.String()
 }
 
 // dfsAblationPoints: the reduced dfs.disk checker probes both the write and

@@ -142,57 +142,3 @@ func TestAblationSourceValidation(t *testing.T) {
 		t.Errorf("NewDFSAblationTarget(probe) = %v, want an error naming reduced|mined|both", err)
 	}
 }
-
-// TestDetectorArms reproduces Tables 1–2 (EXPERIMENTS.md E1, E2, E10): one
-// scripted fault schedule on the kvs substrate, scored under the reduced
-// mimic suite and under each detector the paper compares it with. The arms
-// run side by side, each on its own store.
-func TestDetectorArms(t *testing.T) {
-	cfg := DetectorArmsConfig()
-	verdicts, err := RunDetectorArms(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("detector arms (fault-free ticks %d):\n%s",
-		verdicts[CheckersReduced].FaultFreeTicks, RenderDetectorArms(cfg, verdicts))
-
-	reduced := verdicts[CheckersReduced]
-	if reduced.FalsePositives != 0 {
-		t.Errorf("reduced: %d false positives: %v", reduced.FalsePositives, reduced.FalsePositiveDetails)
-	}
-	for i, f := range reduced.Faults {
-		if !f.Detected || !IsCodeSite(f.Site) {
-			t.Errorf("reduced: fault %d (%s %s) detected=%v site %q, want detected at a code site",
-				i, f.Point, f.Kind, f.Detected, f.Site)
-		}
-		for _, arm := range DetectorArms[1:] {
-			if verdicts[arm].Faults[i].Detected && !f.Detected {
-				t.Errorf("fault %d (%s %s): %s detected it, reduced did not", i, f.Point, f.Kind, arm)
-			}
-		}
-	}
-
-	probe := verdicts[CheckersProbe]
-	if probe.FalsePositives != 0 {
-		t.Errorf("probe: %d false positives: %v", probe.FalsePositives, probe.FalsePositiveDetails)
-	}
-	for _, f := range probe.Faults {
-		if f.Detected && f.Site != "" {
-			t.Errorf("probe pinpointed %s %s at %q", f.Point, f.Kind, f.Site)
-		}
-	}
-	for _, f := range verdicts[CheckersSignal].Faults {
-		if f.Detected && !strings.HasPrefix(f.Site, "signal:") {
-			t.Errorf("signal detection of %s %s has site %q, want signal:<indicator>", f.Point, f.Kind, f.Site)
-		}
-	}
-	for _, f := range verdicts[CheckersHandler].Faults {
-		if f.Detected && (f.Kind == "hang" || f.Kind == "delay") {
-			t.Errorf("handler detected a %s at %s: only explicit errors reach it", f.Kind, f.Point)
-		}
-	}
-	if hb := verdicts[CheckersHeartbeat]; hb.Detected != 0 || hb.FalsePositives != 0 {
-		t.Errorf("heartbeat detected %d faults, %d false positives; a live process beats through all of them",
-			hb.Detected, hb.FalsePositives)
-	}
-}

@@ -91,6 +91,9 @@ type liveFault struct {
 	ev      *FaultOutcome
 	until   int // first tick at which the fault is disarmed
 	expired bool
+	// standing is set while the checker is still in an alarm that began
+	// before the fault was armed: that alarm is not a detection of it.
+	standing bool
 }
 
 // runner is the per-run state; reports arrive synchronously on the CheckAll
@@ -105,6 +108,7 @@ type runner struct {
 	tick       int
 	active     map[string]*liveFault // by fault point
 	current    map[string]*liveFault // by checker name
+	alarmed    map[string]bool       // checkers whose latest report was abnormal
 	outcomes   []*FaultOutcome
 	fp         int
 	fpDetails  []string
@@ -166,6 +170,7 @@ func Run(tgt *Target, cfg Config) (*Verdict, error) {
 		clk:     tgt.Driver.Clock(),
 		active:  make(map[string]*liveFault),
 		current: make(map[string]*liveFault),
+		alarmed: make(map[string]bool),
 	}
 	virtual, _ := r.clk.(*clock.Virtual)
 	tgt.Driver.OnReport(r.observeReport)
@@ -199,7 +204,14 @@ func Run(tgt *Target, cfg Config) (*Verdict, error) {
 				DurationTicks: sf.DurationTicks,
 			}
 			r.outcomes = append(r.outcomes, ev)
-			lf := &liveFault{ev: ev, until: tick + sf.DurationTicks}
+			// An alarm already running when the fault is armed does not
+			// detect it, unless it is the residue of an earlier fault on
+			// the same checker, which stays attributed as before.
+			standing := r.alarmed[fp.Checker]
+			if prev, ok := r.current[fp.Checker]; ok {
+				standing = prev.standing
+			}
+			lf := &liveFault{ev: ev, until: tick + sf.DurationTicks, standing: standing}
 			r.active[sf.Point] = lf
 			r.current[fp.Checker] = lf
 			ev.armedAt = r.clk.Now()
@@ -318,17 +330,24 @@ func (r *runner) observeReport(rep watchdog.Report) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !rep.Status.Abnormal() {
-		// A healthy report retires the matched fault once it is disarmed;
-		// skipped and context-pending reports are neutral either way.
+		// A healthy report ends any standing alarm and retires the matched
+		// fault once it is disarmed; skipped and context-pending reports are
+		// neutral either way.
 		if rep.Status == watchdog.StatusHealthy {
-			if lf, ok := r.current[rep.Checker]; ok && lf.expired {
-				delete(r.current, rep.Checker)
+			delete(r.alarmed, rep.Checker)
+			if lf, ok := r.current[rep.Checker]; ok {
+				lf.standing = false
+				if lf.expired {
+					delete(r.current, rep.Checker)
+				}
 			}
 		}
 		return
 	}
+	r.alarmed[rep.Checker] = true
 	if lf, ok := r.current[rep.Checker]; ok {
-		if !lf.ev.Detected {
+		// Only an alarm that starts while the fault is live detects it.
+		if !lf.ev.Detected && !lf.standing {
 			lf.ev.Detected = true
 			lf.ev.DetectTick = r.tick
 			lf.ev.DetectLatencyNS = int64(rep.Time.Sub(lf.ev.armedAt))

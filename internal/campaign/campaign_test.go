@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -320,5 +322,56 @@ func TestKVSCampaignSmoke(t *testing.T) {
 	}
 	if !verdict.Pass {
 		t.Fatalf("verdict failed: %v", verdict.Failures)
+	}
+}
+
+// TestStandingAlarmDetectsNothing: an alarm already running when a fault is
+// armed is not credited with that fault, and is a false positive outside the
+// storm. Once the checker has reported healthy, the next alarm while a fault
+// is live detects it.
+func TestStandingAlarmDetectsNothing(t *testing.T) {
+	v := clock.NewVirtual()
+	inj := faultinject.New(v)
+	d := watchdog.New(watchdog.WithClock(v), watchdog.WithInterval(time.Second), watchdog.WithTimeout(3*time.Second))
+	var stalled atomic.Bool
+	d.Register(watchdog.NewChecker("indicator", func(*watchdog.Context) error {
+		if stalled.Load() {
+			return errors.New("stalled")
+		}
+		return inj.Fire("point")
+	}), watchdog.WithContext(readyContext()))
+	tgt := &Target{
+		Name:     "standing",
+		Driver:   d,
+		Injector: inj,
+		Points:   []FaultPoint{{Point: "point", Checker: "indicator", Kinds: []faultinject.Kind{faultinject.Error}}},
+		// The indicator is stuck in alarm until tick 6.
+		Step:  func(tick int) { stalled.Store(tick < 6) },
+		Close: func() error { return nil },
+	}
+	fail := faultinject.Fault{Kind: faultinject.Error}
+	verdict, err := Run(tgt, Config{
+		Interval:         time.Second,
+		WarmupTicks:      2,
+		StormTicks:       10,
+		CooldownTicks:    3,
+		GraceTicks:       1,
+		MinDetectionRate: 0.01,
+		Script: []ScriptedFault{
+			{Tick: 2, Point: "point", Fault: fail, DurationTicks: 2},
+			{Tick: 8, Point: "point", Fault: fail, DurationTicks: 2},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := verdict.Faults[0]; f.Detected {
+		t.Errorf("fault armed during a standing alarm was detected at tick %d", f.DetectTick)
+	}
+	if f := verdict.Faults[1]; !f.Detected || f.DetectTick != 8 {
+		t.Errorf("fault armed after the alarm cleared: detected=%v at tick %d, want tick 8", f.Detected, f.DetectTick)
+	}
+	if verdict.FalsePositives != 2 {
+		t.Errorf("false positives = %d, want the 2 warmup ticks: %v", verdict.FalsePositives, verdict.FalsePositiveDetails)
 	}
 }

@@ -30,14 +30,6 @@ type FaultOutcome struct {
 	armedAt time.Time
 }
 
-// IsCodeSite reports whether a FaultOutcome site names a function and a
-// file:line (function/op@file:line), the pinpoint a mimic checker gives.
-func IsCodeSite(site string) bool {
-	fnOp, loc, ok := strings.Cut(site, "@")
-	fn, _, _ := strings.Cut(fnOp, "/")
-	return ok && fn != "" && strings.Contains(loc, ":")
-}
-
 // RecoveryStats summarizes the recovery manager's event log for the run.
 type RecoveryStats struct {
 	Recovered int `json:"recovered"`
