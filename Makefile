@@ -74,10 +74,12 @@ mesh-smoke:
 # partition, churn, rejoin, and lossy-link faults. Gates: full convergence,
 # intrinsic detection on every observer, zero false positives, and per-round
 # message volume within the O(N·K) budget (vs the full mesh's O(N²)). The
-# verdict is bit-deterministic from the seed.
+# verdict is bit-deterministic from the seed: the report, which reads only the
+# virtual clock, must match the committed seed-1 report byte for byte (a
+# failing verdict differs from it too).
 meshscale-smoke:
 	$(GO) run ./cmd/wdchaos -substrate meshscale -seed 1 -nodes 500 \
-		-fanout 3 -quorum 2
+		-fanout 3 -quorum 2 | diff -u internal/campaign/meshscale/testdata/seed1-n500.txt -
 
 # cep-smoke runs the seeded temporal-rule campaign: a streak fault must fire
 # the consecutive-abnormal rule, a concurrent spread fault must fire the

@@ -1,11 +1,14 @@
 package wdmesh
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,13 +97,13 @@ type ackRef struct {
 	seq   uint64
 }
 
-// covers reports whether the acked reference already covers digest d, i.e.
-// sending d to that peer would tell it nothing new.
-func (a ackRef) covers(d Digest) bool {
-	if a.epoch != d.Epoch {
-		return a.epoch > d.Epoch
+// covers reports whether the acked reference already covers the digest
+// (epoch, seq), i.e. sending it to that peer would tell it nothing new.
+func (a ackRef) covers(epoch int64, seq uint64) bool {
+	if a.epoch != epoch {
+		return a.epoch > epoch
 	}
-	return a.seq >= d.Seq
+	return a.seq >= seq
 }
 
 // peer is the per-peer send side: a bounded queue drained by one sender
@@ -130,11 +133,18 @@ type peer struct {
 	lastEpoch int64
 }
 
-// obsRecord is one observer's most recent abnormal-observation set; an empty
-// set is still recorded (it clears the observer's previous suspicions).
+// obsRecord is one observer's most recent abnormal-observation set. A frame
+// with none deletes the observer's record, which clears its previous
+// suspicions exactly as an empty set would.
 type obsRecord struct {
 	at    time.Time
 	kinds map[string]string // subject -> non-ok observation kind
+}
+
+// member is one peer's name and index, an entry of Mesh.order.
+type member struct {
+	name string
+	idx  int
 }
 
 // Mesh is one node's view of the cluster health plane.
@@ -142,7 +152,11 @@ type Mesh struct {
 	cfg    Config
 	clk    clock.Clock
 	peers  []*peer
-	byName map[string]*peer
+	byName map[string]int // peer name -> index into peers
+	// order lists the peers sorted by name, so frames and verdicts come out
+	// in name order without sorting strings per round, and a name-ordered
+	// frame is absorbed without hashing every relayed name.
+	order []member
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -155,7 +169,10 @@ type Mesh struct {
 	heard    []time.Time // when a fresh digest for the index last arrived
 	obs      map[string]obsRecord
 	verdicts map[string]Verdict
-	scratch  []int // reused per-round candidate buffer
+	scratch  []int  // reused per-round sample buffer
+	cand     []int  // reused per-frame delta candidates, in name order
+	ranked   []int  // reused MaxDelta ranking buffer
+	suspect  []bool // reused per-round verdict candidate marks, by index
 
 	begun    bool // handler installed, heard seeded (Start or first Step)
 	started  bool // goroutine mode (Start)
@@ -241,7 +258,7 @@ func New(cfg Config) (*Mesh, error) {
 		cfg:      cfg,
 		clk:      cfg.Clock,
 		rng:      rand.New(rand.NewSource(cfg.JitterSeed)),
-		byName:   make(map[string]*peer),
+		byName:   make(map[string]int),
 		obs:      make(map[string]obsRecord),
 		verdicts: make(map[string]Verdict),
 		stop:     make(chan struct{}),
@@ -253,8 +270,8 @@ func New(cfg Config) (*Mesh, error) {
 		}
 		seen[name] = true
 		p := &peer{name: name, idx: len(m.peers), queue: make(chan Message, cfg.QueueCap)}
+		m.byName[name] = len(m.peers)
 		m.peers = append(m.peers, p)
-		m.byName[name] = p
 	}
 	if len(m.peers) == 0 {
 		return nil, errors.New("wdmesh: no peers besides self")
@@ -263,9 +280,13 @@ func New(cfg Config) (*Mesh, error) {
 	m.digests = make([]Digest, n)
 	m.present = make([]bool, n)
 	m.heard = make([]time.Time, n)
-	for _, p := range m.peers {
+	m.suspect = make([]bool, n)
+	m.order = make([]member, n)
+	for i, p := range m.peers {
 		p.acked = make([]ackRef, n)
+		m.order[i] = member{name: p.name, idx: i}
 	}
+	slices.SortFunc(m.order, func(a, b member) int { return strings.Compare(a.name, b.name) })
 	if m.cfg.SuspectAfter <= 0 {
 		m.cfg.SuspectAfter = 4 * m.cfg.Interval
 		if m.cfg.Fanout < n {
@@ -471,60 +492,77 @@ func (m *Mesh) sampleLocked() []target {
 		eligible[i], eligible[j] = eligible[j], eligible[i]
 	}
 	targets := make([]target, 0, k+2)
-	picked := make(map[int]int, k+2) // peer idx -> position in targets
 	for _, idx := range eligible[:k] {
-		picked[idx] = len(targets)
 		targets = append(targets, target{p: m.peers[idx]})
 	}
 	if len(demoted) > 0 && m.cfg.ProbeEvery > 0 && m.round%uint64(m.cfg.ProbeEvery) == 0 {
 		idx := demoted[m.rng.Intn(len(demoted))]
-		picked[idx] = len(targets)
 		targets = append(targets, target{p: m.peers[idx]})
 	}
 	if m.cfg.AntiEntropyEvery > 0 && m.round%uint64(m.cfg.AntiEntropyEvery) == 0 {
-		idx := m.rng.Intn(len(m.peers))
-		if pos, ok := picked[idx]; ok {
-			targets[pos].full = true
-		} else {
-			targets = append(targets, target{p: m.peers[idx], full: true})
+		p := m.peers[m.rng.Intn(len(m.peers))]
+		picked := false
+		for i := range targets {
+			if targets[i].p == p {
+				targets[i].full, picked = true, true
+				break
+			}
+		}
+		if !picked {
+			targets = append(targets, target{p: p, full: true})
 		}
 	}
 	m.scratch = eligible[:0]
 	return targets
 }
 
-// deltaLocked selects the relayed digests for one frame: everything the peer
-// has not evidenced knowing (or the complete table for a full frame), capped
-// at MaxDelta with least-gossiped entries first so fresh rumors win the
-// budget. Callers hold m.mu.
+// deltaLocked selects the relayed digests for one frame, in name order:
+// everything the peer has not evidenced knowing (or the complete table for a
+// full frame), capped at MaxDelta with least-gossiped entries first so fresh
+// rumors win the budget. Callers hold m.mu.
 func (m *Mesh) deltaLocked(p *peer, full bool) []Digest {
-	var cand []int
-	for i := range m.peers {
+	cand := m.cand[:0]
+	for _, o := range m.order {
+		i := o.idx
 		if !m.present[i] || i == p.idx {
 			continue
 		}
-		if !full && p.acked[i].covers(m.digests[i]) {
+		if d := &m.digests[i]; !full && p.acked[i].covers(d.Epoch, d.Seq) {
 			continue
 		}
 		cand = append(cand, i)
 	}
+	m.cand = cand
 	if !full && len(cand) > m.cfg.MaxDelta {
-		sort.Slice(cand, func(a, b int) bool {
-			ga, gb := m.digests[cand[a]].gossiped, m.digests[cand[b]].gossiped
-			if ga != gb {
-				return ga < gb
-			}
-			return cand[a] < cand[b]
-		})
-		cand = cand[:m.cfg.MaxDelta]
+		cand = m.leastGossipedLocked(cand)
 	}
 	out := make([]Digest, 0, len(cand))
 	for _, i := range cand {
 		m.digests[i].gossiped++
 		out = append(out, m.digests[i])
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
 	return out
+}
+
+// leastGossipedLocked narrows cand to the MaxDelta entries that rank first
+// by (gossiped, index), keeping cand's name order. Callers hold m.mu.
+func (m *Mesh) leastGossipedLocked(cand []int) []int {
+	rank := func(a, b int) int {
+		if ga, gb := m.digests[a].gossiped, m.digests[b].gossiped; ga != gb {
+			return cmp.Compare(ga, gb)
+		}
+		return cmp.Compare(a, b)
+	}
+	m.ranked = append(m.ranked[:0], cand...)
+	slices.SortFunc(m.ranked, rank)
+	last := m.ranked[m.cfg.MaxDelta-1]
+	kept := cand[:0]
+	for _, i := range cand {
+		if rank(i, last) <= 0 {
+			kept = append(kept, i)
+		}
+	}
+	return kept
 }
 
 // maxAbnormalNames caps the abnormal-checker list carried per digest so a
@@ -566,22 +604,22 @@ func (m *Mesh) observationLocked(i int, now time.Time) string {
 func (m *Mesh) Observation(node string) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p, ok := m.byName[node]
+	i, ok := m.byName[node]
 	if !ok {
 		return ObsUnreachable
 	}
-	return m.observationLocked(p.idx, m.clk.Now())
+	return m.observationLocked(i, m.clk.Now())
 }
 
 // KnownDigest returns the freshest digest held for a node, if any.
 func (m *Mesh) KnownDigest(node string) (Digest, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p, ok := m.byName[node]
-	if !ok || !m.present[p.idx] {
+	i, ok := m.byName[node]
+	if !ok || !m.present[i] {
 		return Digest{}, false
 	}
-	return m.digests[p.idx], true
+	return m.digests[i], true
 }
 
 // KnownCount returns how many peers this node holds a digest for — the
@@ -612,7 +650,8 @@ type voteTally struct {
 func (m *Mesh) evaluateVerdictsLocked(now time.Time) {
 	// One pass over observer records tallies every remote complaint and
 	// prunes observers that have been silent for several suspicion windows.
-	votes := make(map[string]*voteTally)
+	// A healthy cluster has no records with kinds and allocates nothing.
+	var votes map[string]*voteTally
 	for observer, rec := range m.obs {
 		age := now.Sub(rec.at)
 		if age > 4*m.cfg.SuspectAfter {
@@ -630,6 +669,9 @@ func (m *Mesh) evaluateVerdictsLocked(now time.Time) {
 			}
 			v := votes[subject]
 			if v == nil {
+				if votes == nil {
+					votes = make(map[string]*voteTally)
+				}
 				v = &voteTally{}
 				votes[subject] = v
 			}
@@ -642,38 +684,34 @@ func (m *Mesh) evaluateVerdictsLocked(now time.Time) {
 		}
 	}
 
-	// Candidates: locally suspect peers, remotely complained-about peers,
-	// and standing verdicts (which must be re-checked to clear).
-	cands := make(map[string]bool)
-	for i, p := range m.peers {
+	// Candidates, marked by peer index: locally suspect peers, remotely
+	// complained-about peers, and standing verdicts (which must be re-checked
+	// to clear). They are evaluated in name order.
+	for i := range m.peers {
 		if m.observationLocked(i, now) != ObsOK {
-			cands[p.name] = true
+			m.suspect[i] = true
 		}
 	}
 	for subject := range votes {
-		if _, ok := m.byName[subject]; ok {
-			cands[subject] = true
+		if i, ok := m.byName[subject]; ok {
+			m.suspect[i] = true
 		}
 	}
 	for subject := range m.verdicts {
-		cands[subject] = true
+		m.suspect[m.byName[subject]] = true
 	}
-	ordered := make([]string, 0, len(cands))
-	for subject := range cands {
-		ordered = append(ordered, subject)
-	}
-	sort.Strings(ordered)
 
-	for _, subject := range ordered {
-		p := m.byName[subject]
-		if p == nil {
+	for _, o := range m.order {
+		i, subject := o.idx, o.name
+		if !m.suspect[i] {
 			continue
 		}
+		m.suspect[i] = false
 		tally := voteTally{}
 		if v := votes[subject]; v != nil {
 			tally = *v
 		}
-		switch m.observationLocked(p.idx, now) {
+		switch m.observationLocked(i, now) {
 		case ObsAlarming:
 			tally.alarming++
 		case ObsUnreachable:
@@ -684,7 +722,7 @@ func (m *Mesh) evaluateVerdictsLocked(now time.Time) {
 		switch {
 		case tally.alarming >= m.cfg.Quorum:
 			next = &Verdict{Node: subject, Kind: VerdictIntrinsic,
-				Votes: tally.alarming, Worst: m.digests[p.idx].Worst}
+				Votes: tally.alarming, Worst: m.digests[i].Worst}
 		case tally.unreachable >= m.cfg.Quorum:
 			next = &Verdict{Node: subject, Kind: VerdictUnreachable,
 				Votes: tally.unreachable}
@@ -744,78 +782,91 @@ func (m *Mesh) Verdicts() []Verdict {
 	return out
 }
 
-// receive merges one inbound frame: ack evidence for the sender, the
-// sender's digest, everything it relayed, and its observation set.
+// receive absorbs one inbound frame in one pass: ack evidence for the sender
+// and the freshest-digest merge for its own digest and everything it relayed,
+// then its observation set. Frames from outside the fixed membership are
+// dropped: they carry no ack evidence and must not vote.
 func (m *Mesh) receive(msg *Message) {
 	if msg == nil || msg.From == m.cfg.Self {
+		return
+	}
+	from, ok := m.byName[msg.From]
+	if !ok {
 		return
 	}
 	m.received.Add(1)
 	now := m.clk.Now()
 	m.mu.Lock()
-	if p := m.byName[msg.From]; p != nil {
-		m.ackLocked(p, msg.Self)
-		for _, d := range msg.Known {
-			m.ackLocked(p, d)
+	p := m.peers[from]
+	if i, ok := m.byName[msg.Self.Node]; ok {
+		m.absorbLocked(p, i, &msg.Self, now)
+	}
+	next := 0
+	for k := range msg.Known {
+		d := &msg.Known[k]
+		if i, ok := m.seek(&next, d.Node); ok {
+			m.absorbLocked(p, i, d, now)
 		}
 	}
-	m.mergeLocked(msg.Self, now)
-	for _, d := range msg.Known {
-		m.mergeLocked(d, now)
-	}
-	if msg.From != "" {
-		rec := obsRecord{at: now, kinds: make(map[string]string, len(msg.Obs))}
-		for _, o := range msg.Obs {
-			if o.Node == m.cfg.Self || o.Node == "" || o.Kind == ObsOK {
-				continue
-			}
-			rec.kinds[o.Node] = o.Kind
+	var kinds map[string]string
+	for _, o := range msg.Obs {
+		if o.Node == m.cfg.Self || o.Node == "" || o.Kind == ObsOK {
+			continue
 		}
-		m.obs[msg.From] = rec
+		if kinds == nil {
+			kinds = make(map[string]string, len(msg.Obs))
+		}
+		kinds[o.Node] = o.Kind
+	}
+	if kinds == nil {
+		delete(m.obs, msg.From)
+	} else {
+		m.obs[msg.From] = obsRecord{at: now, kinds: kinds}
 	}
 	m.mu.Unlock()
 }
 
-// ackLocked records evidence that peer p knows digest d, and resets the
-// whole ack table when p's own digest shows a newer incarnation (a restarted
-// peer forgot everything our stale acks claim it knows). Callers hold m.mu.
-func (m *Mesh) ackLocked(p *peer, d Digest) {
-	if d.Node == p.name && d.Epoch > p.lastEpoch {
+// seek returns the index of peer name. Relayed digests arrive in name order,
+// so it first scans m.order forward from *next, where the previous lookup
+// matched, and usually finds name within a step or two; a name behind the
+// cursor or outside the membership falls back to byName.
+func (m *Mesh) seek(next *int, name string) (int, bool) {
+	for j := *next; j < len(m.order); j++ {
+		if o := &m.order[j]; o.name == name {
+			*next = j + 1
+			return o.idx, true
+		} else if o.name > name {
+			break
+		}
+	}
+	i, ok := m.byName[name]
+	return i, ok
+}
+
+// absorbLocked folds one digest from peer p's frame, for member index i, into
+// the mesh. It records evidence that p knows d, resetting p's whole ack table
+// when p's own digest shows a newer incarnation (a restarted peer forgot
+// everything our stale acks claim it knows). It then keeps d if it is the
+// freshest digest for i; replays and duplicates are rejected by (epoch, seq).
+// Digests for nodes outside the fixed membership, self included, never get
+// here. Callers hold m.mu.
+func (m *Mesh) absorbLocked(p *peer, i int, d *Digest, now time.Time) {
+	if i == p.idx && d.Epoch > p.lastEpoch {
 		if p.lastEpoch != 0 {
-			for i := range p.acked {
-				p.acked[i] = ackRef{}
-			}
+			clear(p.acked)
 		}
 		p.lastEpoch = d.Epoch
 	}
-	t := m.byName[d.Node]
-	if t == nil {
-		return
-	}
-	a := &p.acked[t.idx]
-	if d.Epoch > a.epoch || (d.Epoch == a.epoch && d.Seq > a.seq) {
+	if a := &p.acked[i]; !a.covers(d.Epoch, d.Seq) {
 		*a = ackRef{epoch: d.Epoch, seq: d.Seq}
 	}
-}
-
-// mergeLocked keeps the freshest digest per node; replays and duplicates are
-// rejected by (epoch, seq). Digests for nodes outside the fixed membership
-// are ignored. Callers hold m.mu.
-func (m *Mesh) mergeLocked(d Digest, now time.Time) {
-	if d.Node == "" || d.Node == m.cfg.Self {
+	if m.present[i] && !FresherDigest(d, &m.digests[i]) {
 		return
 	}
-	p, ok := m.byName[d.Node]
-	if !ok {
-		return
-	}
-	if m.present[p.idx] && !FresherDigest(d, m.digests[p.idx]) {
-		return
-	}
-	d.gossiped = 0
-	m.digests[p.idx] = d
-	m.present[p.idx] = true
-	m.heard[p.idx] = now
+	m.digests[i] = *d
+	m.digests[i].gossiped = 0
+	m.present[i] = true
+	m.heard[i] = now
 }
 
 // sender drains one peer's queue, applying the per-attempt deadline and the

@@ -301,6 +301,54 @@ func TestDuplicateDelivery(t *testing.T) {
 	}
 }
 
+// TestNonMemberFrameCannotConvict: frames whose sender is outside the fixed
+// membership are dropped whole. Two strangers claiming a healthy member is
+// alarming must not reach quorum or leave observation records behind, while
+// the same claim from two members does convict.
+func TestNonMemberFrameCannotConvict(t *testing.T) {
+	clk := clock.NewVirtual()
+	net := NewMemNetwork(clk, nil)
+	m, err := New(Config{
+		Self: "a", Peers: []string{"b", "c", "d"},
+		Interval: 100 * time.Millisecond, Quorum: 2, Epoch: 1,
+		Clock: clk, Transport: net.Node("a"), Source: healthySource(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Step()
+	m.receive(&Message{From: "c", Self: Digest{Node: "c", Epoch: 1, Seq: 1, Healthy: true, Worst: watchdog.StatusHealthy}})
+	accuse := func(froms ...string) {
+		for _, from := range froms {
+			m.receive(&Message{From: from,
+				Self: Digest{Node: from, Epoch: 1, Seq: 1, Healthy: true},
+				Obs:  []Observation{{Node: "c", Kind: ObsAlarming}},
+			})
+		}
+		clk.Advance(100 * time.Millisecond)
+		m.Step()
+	}
+
+	accuse("x1", "x2")
+	if vs := m.Verdicts(); len(vs) != 0 {
+		t.Fatalf("strangers convicted a healthy member: %+v", vs)
+	}
+	m.mu.Lock()
+	records := len(m.obs)
+	m.mu.Unlock()
+	if records != 0 {
+		t.Fatalf("stranger frames left %d observation record(s)", records)
+	}
+	if got := m.Snapshot().MessagesReceived; got != 1 {
+		t.Fatalf("received %d frames, want only c's", got)
+	}
+
+	accuse("b", "d")
+	if vs := m.Verdicts(); len(vs) != 1 || vs[0].Node != "c" || vs[0].Kind != VerdictIntrinsic || vs[0].Votes != 2 {
+		t.Fatalf("two members' accusations should convict c: %+v", vs)
+	}
+}
+
 // TestQueueDropsAndRetries drives a mesh whose peer does not exist: sends
 // fail, retries and failures count up, and a full queue drops instead of
 // blocking the gossip loop.

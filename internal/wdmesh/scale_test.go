@@ -19,7 +19,7 @@ type stepCluster struct {
 }
 
 // newStepCluster builds n unstarted meshes (Step mode) with fanout k.
-func newStepCluster(t *testing.T, n, k int, src func(name string) func() Digest) *stepCluster {
+func newStepCluster(t testing.TB, n, k int, src func(name string) func() Digest) *stepCluster {
 	t.Helper()
 	c := &stepCluster{
 		clk:      clock.NewVirtual(),
@@ -38,7 +38,7 @@ func newStepCluster(t *testing.T, n, k int, src func(name string) func() Digest)
 }
 
 // addNode builds one Step-mode mesh for the cluster.
-func (c *stepCluster) addNode(t *testing.T, name string, k int, epoch int64, src func(string) func() Digest) *Mesh {
+func (c *stepCluster) addNode(t testing.TB, name string, k int, epoch int64, src func(string) func() Digest) *Mesh {
 	t.Helper()
 	peers := make([]string, 0, len(c.names)-1)
 	for _, p := range c.names {
@@ -121,6 +121,20 @@ func TestStepFanoutConvergenceAndVolume(t *testing.T) {
 	}
 	if sent*2 > baseline {
 		t.Fatalf("sent %d messages, not meaningfully below full-mesh baseline %d", sent, baseline)
+	}
+}
+
+// BenchmarkStep200 times one gossip round of a converged 200-node fanout-3
+// cluster per iteration: every node builds, sends and absorbs its frames.
+func BenchmarkStep200(b *testing.B) {
+	c := newStepCluster(b, 200, 3, healthyByName())
+	for r := 0; r < 20; r++ {
+		c.step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.step()
 	}
 }
 
@@ -354,7 +368,7 @@ func TestDeltaSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb := m.byName["b"]
+	pb := m.peers[m.byName["b"]]
 
 	deltaTo := func(p *peer, full bool) []string {
 		m.mu.Lock()
@@ -375,7 +389,7 @@ func TestDeltaSuppression(t *testing.T) {
 	if got := deltaTo(pb, false); len(got) != 0 {
 		t.Fatalf("delta to b should be empty (b evidenced c@5): %v", got)
 	}
-	if got := deltaTo(m.byName["c"], false); len(got) != 1 || got[0] != "b@1.1" {
+	if got := deltaTo(m.peers[m.byName["c"]], false); len(got) != 1 || got[0] != "b@1.1" {
 		t.Fatalf("delta to c should carry b's digest: %v", got)
 	}
 

@@ -121,7 +121,7 @@ type Message struct {
 
 // FresherDigest reports whether a should replace b: a later incarnation
 // always wins; within an incarnation the higher sequence number wins.
-func FresherDigest(a, b Digest) bool {
+func FresherDigest(a, b *Digest) bool {
 	if a.Epoch != b.Epoch {
 		return a.Epoch > b.Epoch
 	}
