@@ -7,7 +7,7 @@ GO ?= go
 # paths (gauge registry, wdobs histograms/journal), the alarm-driven
 # recovery/campaign loop, the fault injector, the gossiping mesh, and the
 # lock-light CEP event ring.
-RACE_PKGS := ./internal/watchdog ./internal/coord ./internal/clock ./internal/gauge ./internal/wdobs ./internal/recovery ./internal/campaign ./internal/campaign/meshscale ./internal/wdruntime ./internal/faultinject ./internal/wdmesh ./internal/wdmesh/wire ./internal/wdcep ./internal/autowatchdog/testmine ./internal/supervise ./internal/sdnotify ./internal/kvs
+RACE_PKGS := ./internal/watchdog ./internal/coord ./internal/clock ./internal/gauge ./internal/wdobs ./internal/recovery ./internal/campaign ./internal/campaign/meshscale ./internal/wdruntime ./internal/faultinject ./internal/wdmesh ./internal/wdmesh/wire ./internal/wdcep ./internal/supervise ./internal/sdnotify ./internal/kvs
 
 .PHONY: build test vet lint race kvs-commit-stress flake-census smoke mesh-smoke meshscale-smoke cep-smoke super-smoke gen-smoke bench-smoke ablation check golden
 
@@ -97,13 +97,14 @@ cep-smoke:
 super-smoke:
 	$(GO) run ./cmd/wdchaos -substrate super -seed 42 -outages 2
 
-# gen-smoke proves the test miner still extracts checkers from the real
-# service test suites: awgen -from-tests exits nonzero when a package yields
-# no minable assertion predicates, so a refactor that silently starves the
-# miner fails here rather than after the generated files rot.
+# gen-smoke proves the AutoWatchdog reducer still finds long-running regions
+# in the real service packages: awgen's report-only mode exits nonzero when a
+# package yields none, so a refactor that silently starves the analysis fails
+# here rather than after the generated checkers rot.
 gen-smoke:
-	$(GO) run ./cmd/awgen -from-tests -quiet -pkg ./internal/kvs
-	$(GO) run ./cmd/awgen -from-tests -quiet -pkg ./internal/coord
+	$(GO) run ./cmd/awgen -quiet -pkg ./internal/kvs
+	$(GO) run ./cmd/awgen -quiet -pkg ./internal/coord
+	$(GO) run ./cmd/awgen -quiet -pkg ./internal/dfs
 
 # bench-smoke compiles the benchmark/ module (a module of its own, so build,
 # test and lint above stop at its go.mod) against the internal packages it
@@ -112,19 +113,14 @@ gen-smoke:
 bench-smoke:
 	$(GO) test -C benchmark .
 
-# ablation runs the E13 checker-source comparison: the kvs and dfs substrates
-# under the reduced suite, the test-mined suite, and both. Mined-only arms
-# miss write-path faults by design, so the detection gate is lowered and the
-# verdicts are compared, not pass/failed. It then runs the E1-E2 detector
-# arms on kvs (probe, signal, handler, heartbeat) under the same schedule.
-# Their verdicts are read, not gated: the heartbeat detects nothing and the
-# signal arm raises false positives by design, so they exit nonzero.
+# ablation runs E13: the kvs and dfs substrates under the reduced suite,
+# gated on their verdicts with a low detection floor. It then runs the E1-E2
+# detector arms on kvs (probe, signal, handler, heartbeat) under the same
+# schedule. Their verdicts are read, not gated: the heartbeat detects nothing
+# and the signal arm raises false positives by design, so they exit nonzero.
 ablation:
-	for src in reduced mined both; do \
-		$(GO) run ./cmd/wdchaos -substrate kvs -checkers $$src -seed 13 \
-			-interval 20ms -warmup 5 -storm 25 -cooldown 10 \
-			-min-detection-rate 0.01 || exit 1; \
-		$(GO) run ./cmd/wdchaos -substrate dfs -checkers $$src -seed 13 \
+	for sub in kvs dfs; do \
+		$(GO) run ./cmd/wdchaos -substrate $$sub -checkers reduced -seed 13 \
 			-interval 20ms -warmup 5 -storm 25 -cooldown 10 \
 			-min-detection-rate 0.01 || exit 1; \
 	done
@@ -134,10 +130,9 @@ ablation:
 			-min-detection-rate 0.01 || true; \
 	done
 
-# golden refreshes the AutoWatchdog generator goldens (region reduction and
-# test mining) after an intentional generator change.
+# golden refreshes the AutoWatchdog generator goldens after an intentional
+# generator change.
 golden:
 	$(GO) test ./internal/autowatchdog -run Golden -update
-	$(GO) test ./internal/autowatchdog/testmine -run Golden -update
 
 check: build vet lint test race kvs-commit-stress smoke mesh-smoke meshscale-smoke cep-smoke super-smoke gen-smoke bench-smoke

@@ -9,17 +9,8 @@
 //	awgen -pkg ./internal/coord -json                # machine-readable report
 //	awgen -pkg ./internal/coord -out /tmp/coordwd    # + generate & instrument
 //
-// With -from-tests, awgen runs the second checker source instead: the
-// testmine pass walks the package's _test.go files and turns side-effect-free
-// assertion predicates into checkers (DESIGN.md §8):
-//
-//	awgen -from-tests -pkg ./internal/kvs                    # mining report
-//	awgen -from-tests -pkg ./internal/kvs -json              # machine-readable
-//	awgen -from-tests -pkg ./internal/kvs -out ./internal/kvs # emit checkers
-//
-// In report-only mode awgen exits non-zero when no long-running regions (or,
-// under -from-tests, no minable predicates) are found, so CI can catch
-// analyses that silently matched nothing.
+// In report-only mode awgen exits non-zero when no long-running regions are
+// found, so CI can catch analyses that silently matched nothing.
 package main
 
 import (
@@ -30,28 +21,21 @@ import (
 	"strings"
 
 	"gowatchdog/internal/autowatchdog"
-	"gowatchdog/internal/autowatchdog/testmine"
 )
 
 func main() {
 	var (
-		pkgDir    = flag.String("pkg", "", "package directory to analyze (required)")
-		outDir    = flag.String("out", "", "output directory for generated + instrumented files")
-		entries   = flag.String("entries", "", "comma-separated regexps forcing region roots")
-		depth     = flag.Int("depth", 5, "max call-chain depth")
-		quiet     = flag.Bool("quiet", false, "suppress the per-region report")
-		jsonMode  = flag.Bool("json", false, "emit the analysis report as JSON")
-		fromTests = flag.Bool("from-tests", false, "mine checkers from the package's test assertions instead of reducing regions")
+		pkgDir   = flag.String("pkg", "", "package directory to analyze (required)")
+		outDir   = flag.String("out", "", "output directory for generated + instrumented files")
+		entries  = flag.String("entries", "", "comma-separated regexps forcing region roots")
+		depth    = flag.Int("depth", 5, "max call-chain depth")
+		quiet    = flag.Bool("quiet", false, "suppress the per-region report")
+		jsonMode = flag.Bool("json", false, "emit the analysis report as JSON")
 	)
 	flag.Parse()
 	if *pkgDir == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *fromTests {
-		runFromTests(*pkgDir, *outDir, *quiet, *jsonMode)
-		return
 	}
 
 	cfg := autowatchdog.Config{
@@ -95,33 +79,4 @@ func main() {
 		log.Fatalf("awgen: instrument: %v", err)
 	}
 	fmt.Printf("\ngenerated %s\ninstrumented %d files into %s\n", genPath, len(written), *outDir)
-}
-
-// runFromTests drives the test-mining pass with the same mode contract as
-// region mode: report / -json / -out, nonzero exit on an empty report.
-func runFromTests(pkgDir, outDir string, quiet, jsonMode bool) {
-	a, err := testmine.Mine(testmine.Config{PackageDir: pkgDir, OutDir: outDir})
-	if err != nil {
-		log.Fatalf("awgen: from-tests: %v", err)
-	}
-	switch {
-	case jsonMode:
-		if err := a.ReportJSON(os.Stdout); err != nil {
-			log.Fatalf("awgen: json: %v", err)
-		}
-	case !quiet:
-		a.Summary(os.Stdout)
-	}
-	if outDir == "" {
-		if len(a.Checkers) == 0 {
-			fmt.Fprintf(os.Stderr, "awgen: no minable assertion predicates found in %s\n", pkgDir)
-			os.Exit(1)
-		}
-		return
-	}
-	genPath, err := a.Generate()
-	if err != nil {
-		log.Fatalf("awgen: generate: %v", err)
-	}
-	fmt.Printf("generated %s (%d mined checkers)\n", genPath, len(a.Checkers))
 }

@@ -11,17 +11,20 @@
 //	wdchaos -substrate synth -seed 7 -breaker 3 -damp 30s -hang-budget 2
 //	wdchaos -substrate mesh -seed 7 -nodes 3 -quorum 2 -mesh-interval 20ms
 //	wdchaos -substrate meshscale -seed 1 -nodes 500 -fanout 3 -json
-//	wdchaos -substrate kvs -checkers mined -min-detection-rate 0.01 -json
+//	wdchaos -substrate kvs -checkers reduced -min-detection-rate 0.01 -json
 //	wdchaos -substrate kvs -checkers probe -min-detection-rate 0.01 -json
 //	wdchaos -substrate cep -seed 42 -json
 //	wdchaos -substrate super -seed 42 -outages 2 -json
 //
 // The -checkers flag (kvs and dfs only) selects the ablation targets: the
-// same substrate scored under the reduced suite, the test-mined suite (awgen
-// -from-tests), or both (E13); on kvs also under one of the detectors the
-// paper compares watchdogs with — probe, signal, handler, heartbeat (E1–E2).
-// Mined-only and detector runs miss faults by design — pass a low
-// -min-detection-rate and compare verdicts instead of gating on exit status.
+// same substrate scored under the reduced suite alone (E13); on kvs also under
+// one of the detectors the paper compares watchdogs with — probe, signal,
+// handler, heartbeat (E1–E2). Detector runs miss faults by design — pass a
+// low -min-detection-rate and compare verdicts instead of gating on exit
+// status.
+//
+// Unless -dir names one, the kvs and dfs substrates run in a scratch
+// directory that wdchaos creates and removes on exit, whatever the verdict.
 //
 // The synthetic substrate runs on a virtual clock by default, so a full
 // campaign completes in milliseconds and is reproducible bit-for-bit from the
@@ -54,11 +57,17 @@ func main() {
 	// When the super campaign re-executes this binary as its supervised
 	// daemon, become the child and never reach flag parsing.
 	campaign.MaybeSuperChild()
+	os.Exit(run())
+}
 
+// run runs the campaign the flags select and returns the exit status. It
+// returns rather than exits so that its deferred cleanup — closing the target
+// and removing the scratch directory — runs on every path.
+func run() int {
 	var (
 		substrate = flag.String("substrate", "synth", "system under campaign: synth|kvs|dfs|mesh|meshscale|cep|super")
-		checkers  = flag.String("checkers", "", "ablation checker source: reduced|mined|both (kvs, dfs) or detector arm probe|signal|handler|heartbeat (kvs); empty = standard target")
-		dir       = flag.String("dir", "", "scratch directory for disk-backed substrates (default: temp dir)")
+		checkers  = flag.String("checkers", "", "ablation checker source: reduced (kvs, dfs) or detector arm probe|signal|handler|heartbeat (kvs); empty = standard target")
+		dir       = flag.String("dir", "", "scratch directory for disk-backed substrates (default: a temp dir, removed on exit)")
 		seed      = flag.Int64("seed", 1, "schedule-generation seed")
 		realClock = flag.Bool("real-clock", false, "run the synth substrate on the real clock instead of a virtual one")
 
@@ -89,7 +98,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *substrate == "mesh" {
+	switch *substrate {
+	case "mesh":
 		n, iv := *nodes, *meshInterval
 		if n == 0 {
 			n = 3
@@ -97,20 +107,13 @@ func main() {
 		if iv == 0 {
 			iv = 25 * time.Millisecond
 		}
-		runMesh(*seed, n, *quorum, iv, *rawJSON)
-		return
-	}
-	if *substrate == "meshscale" {
-		runMeshScale(*seed, *nodes, *fanout, *quorum, *meshInterval, *rawJSON)
-		return
-	}
-	if *substrate == "cep" {
-		runCEP(*seed, *interval, *rawJSON)
-		return
-	}
-	if *substrate == "super" {
-		runSuper(*seed, *outages, *feedWindow, *stormRestarts, *dir, *rawJSON)
-		return
+		return runMesh(*seed, n, *quorum, iv, *rawJSON)
+	case "meshscale":
+		return runMeshScale(*seed, *nodes, *fanout, *quorum, *meshInterval, *rawJSON)
+	case "cep":
+		return runCEP(*seed, *interval, *rawJSON)
+	case "super":
+		return runSuper(*seed, *outages, *feedWindow, *stormRestarts, *dir, *rawJSON)
 	}
 
 	var opts []wdruntime.Option
@@ -134,9 +137,17 @@ func main() {
 	}
 	opts = append(opts, wdruntime.WithJitterSeed(*seed))
 
+	if *dir == "" && *substrate != "synth" {
+		tmp, err := os.MkdirTemp("", "wdchaos-*")
+		if err != nil {
+			return fail(err)
+		}
+		defer os.RemoveAll(tmp)
+		*dir = tmp
+	}
 	tgt, err := buildTarget(*substrate, *checkers, *dir, *realClock, opts)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if tgt.Close != nil {
 		defer tgt.Close()
@@ -154,21 +165,9 @@ func main() {
 		HangBudget:       *hangBudget,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
-	if *rawJSON {
-		data, err := verdict.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(data))
-	} else {
-		fmt.Print(verdict.Render())
-	}
-	if !verdict.Pass {
-		os.Exit(1)
-	}
+	return report(verdict, verdict.Pass, *rawJSON)
 }
 
 func buildTarget(substrate, checkers, dir string, realClock bool, opts []wdruntime.Option) (*campaign.Target, error) {
@@ -182,13 +181,6 @@ func buildTarget(substrate, checkers, dir string, realClock bool, opts []wdrunti
 		}
 		return campaign.NewSynthTarget(clk, opts...), nil
 	}
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "wdchaos-*")
-		if err != nil {
-			return nil, err
-		}
-		dir = tmp
-	}
 	if checkers != "" {
 		return campaign.NewAblationTarget(substrate, dir, checkers, opts...)
 	}
@@ -198,7 +190,7 @@ func buildTarget(substrate, checkers, dir string, realClock bool, opts []wdrunti
 // runMesh scores the multi-node mesh campaign: remote fail-slow detection via
 // gossiped intrinsic verdicts, verdict clearing, and false-positive counts
 // under a seeded one-way partition.
-func runMesh(seed int64, nodes, quorum int, interval time.Duration, rawJSON bool) {
+func runMesh(seed int64, nodes, quorum int, interval time.Duration, rawJSON bool) int {
 	verdict, err := campaign.RunMesh(campaign.MeshConfig{
 		Seed:     seed,
 		Nodes:    nodes,
@@ -206,27 +198,16 @@ func runMesh(seed int64, nodes, quorum int, interval time.Duration, rawJSON bool
 		Interval: interval,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if rawJSON {
-		data, err := verdict.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(data))
-	} else {
-		fmt.Print(verdict.Render())
-	}
-	if !verdict.Pass {
-		os.Exit(1)
-	}
+	return report(verdict, verdict.Pass, rawJSON)
 }
 
 // runMeshScale scores the mesh-at-scale survival campaign: hundreds of
 // Step-mode nodes on a virtual clock under seeded correlated partitions,
 // churn, and lossy links (see campaign.RunMeshScale). The verdict is
 // deterministic in the seed.
-func runMeshScale(seed int64, nodes, fanout, quorum int, interval time.Duration, rawJSON bool) {
+func runMeshScale(seed int64, nodes, fanout, quorum int, interval time.Duration, rawJSON bool) int {
 	verdict, err := campaign.RunMeshScale(meshscale.Config{
 		Seed:     seed,
 		Nodes:    nodes,
@@ -235,55 +216,33 @@ func runMeshScale(seed int64, nodes, fanout, quorum int, interval time.Duration,
 		Interval: interval,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if rawJSON {
-		data, err := verdict.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(data))
-	} else {
-		fmt.Print(verdict.Render())
-	}
-	if !verdict.Pass {
-		os.Exit(1)
-	}
+	return report(verdict, verdict.Pass, rawJSON)
 }
 
 // runCEP scores the temporal-rule campaign: a seeded streak + spread fault
 // sequence on the synthetic substrate under a virtual clock, with a
 // fault-free control arm whose firings count as false positives (see
 // campaign.RunCEP).
-func runCEP(seed int64, interval time.Duration, rawJSON bool) {
+func runCEP(seed int64, interval time.Duration, rawJSON bool) int {
 	verdict, err := campaign.RunCEP(campaign.CEPConfig{
 		Seed:     seed,
 		Interval: interval,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if rawJSON {
-		data, err := verdict.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(data))
-	} else {
-		fmt.Print(verdict.Render())
-	}
-	if !verdict.Pass {
-		os.Exit(1)
-	}
+	return report(verdict, verdict.Pass, rawJSON)
 }
 
 // runSuper scores the supervision campaign: a real Supervisor over
 // re-executions of this binary, SIGKILLed, SIGSTOPped, and crash-looped on a
 // seeded schedule (see campaign.RunSuper).
-func runSuper(seed int64, outages int, feedWindow time.Duration, stormRestarts int, dir string, rawJSON bool) {
+func runSuper(seed int64, outages int, feedWindow time.Duration, stormRestarts int, dir string, rawJSON bool) int {
 	exe, err := os.Executable()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	verdict, err := campaign.RunSuper(campaign.SuperConfig{
 		Seed:          seed,
@@ -294,23 +253,33 @@ func runSuper(seed int64, outages int, feedWindow time.Duration, stormRestarts i
 		Dir:           dir,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	return report(verdict, verdict.Pass, rawJSON)
+}
+
+// report prints a campaign verdict, as JSON or rendered, and returns the exit
+// status: 1 when the verdict failed.
+func report(v interface {
+	JSON() ([]byte, error)
+	Render() string
+}, pass, rawJSON bool) int {
 	if rawJSON {
-		data, err := verdict.JSON()
+		data, err := v.JSON()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Println(string(data))
 	} else {
-		fmt.Print(verdict.Render())
+		fmt.Print(v.Render())
 	}
-	if !verdict.Pass {
-		os.Exit(1)
+	if !pass {
+		return 1
 	}
+	return 0
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintf(os.Stderr, "wdchaos: %v\n", err)
-	os.Exit(1)
+	return 1
 }

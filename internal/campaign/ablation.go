@@ -23,16 +23,9 @@ import (
 // E1–E2): the same substrate and fault points, scored under different checker
 // suites, so the verdicts isolate what each source of checkers buys.
 const (
-	// CheckersReduced installs only the hand-tuned suite produced by mainline
+	// CheckersReduced installs the hand-tuned suite produced by mainline
 	// region reduction (InstallWatchdog) — the §4 baseline.
 	CheckersReduced = "reduced"
-	// CheckersMined installs only the checkers mined from the package's test
-	// suite (awgen -from-tests).
-	CheckersMined = "mined"
-	// CheckersBoth installs both suites; fault points covered by a mined
-	// checker are attributed to it, so the verdict shows the mined suite
-	// detecting alongside the reduced one rather than being shadowed by it.
-	CheckersBoth = "both"
 
 	// The detector arms (kvs only) replace the watchdog with one of the
 	// detectors the paper compares it against (Tables 1–2). Each registers a
@@ -53,48 +46,35 @@ const (
 
 // ablationSources lists the checker sources each ablation substrate accepts.
 var ablationSources = map[string][]string{
-	"kvs": {CheckersReduced, CheckersMined, CheckersBoth,
-		CheckersProbe, CheckersSignal, CheckersHandler, CheckersHeartbeat},
-	"dfs": {CheckersReduced, CheckersMined, CheckersBoth},
+	"kvs": {CheckersReduced, CheckersProbe, CheckersSignal, CheckersHandler, CheckersHeartbeat},
+	"dfs": {CheckersReduced},
 }
 
-// UncoveredChecker names the sentinel checker for a fault point the selected
-// suite does not guard. No checker registers under this name, so every fault
-// armed there scores as a miss — which is the measurement: the ablation
-// quantifies coverage lost, not just latency.
-func UncoveredChecker(point string) string { return "uncovered:" + point }
-
-// ablationPoint is one fault point with per-suite checker attribution.
+// ablationPoint is one fault point and the reduced-suite checker guarding it.
 type ablationPoint struct {
 	point   string
-	reduced string // reduced-suite checker guarding the point
-	mined   string // mined-suite checker guarding it, "" if uncovered
+	reduced string
 }
 
-// attribute resolves one point's expected checker under a source selection.
-// Ablation schedules arm Error faults only: hangs exercise the liveness
-// machinery, which both suites share, and would blur the coverage comparison.
-func (ap ablationPoint) attribute(source string) FaultPoint {
-	checker := source // a detector arm's one checker
-	switch source {
-	case CheckersReduced:
-		checker = ap.reduced
-	case CheckersMined:
-		checker = ap.mined
-	case CheckersBoth:
-		checker = ap.mined
-		if checker == "" {
+// ablationFaultPoints attributes every point of table to the checker expected
+// to detect it under source: its reduced-suite checker, or a detector arm's
+// one checker. Ablation schedules arm Error faults only: hangs exercise the
+// liveness machinery, which every suite shares, and would blur the coverage
+// comparison.
+func ablationFaultPoints(table []ablationPoint, source string) []FaultPoint {
+	points := make([]FaultPoint, 0, len(table))
+	for _, ap := range table {
+		checker := source
+		if source == CheckersReduced {
 			checker = ap.reduced
 		}
+		points = append(points, FaultPoint{
+			Point:   ap.point,
+			Checker: checker,
+			Kinds:   []faultinject.Kind{faultinject.Error},
+		})
 	}
-	if checker == "" {
-		checker = UncoveredChecker(ap.point)
-	}
-	return FaultPoint{
-		Point:   ap.point,
-		Checker: checker,
-		Kinds:   []faultinject.Kind{faultinject.Error},
-	}
+	return points
 }
 
 func validAblationSource(substrate, source string) error {
@@ -106,21 +86,18 @@ func validAblationSource(substrate, source string) error {
 		substrate, source, strings.Join(valid, "|"))
 }
 
-// kvsAblationPoints is the kvs attribution table. The reduced suite guards
-// every point; the mined suite traverses only the read paths its source
-// assertions probed — Get fires the indexer-get point and VerifyPartition the
-// sstable-read point — leaving the four write-path points uncovered.
+// kvsAblationPoints is the kvs attribution table.
 var kvsAblationPoints = []ablationPoint{
 	{point: kvs.FaultFlushWrite, reduced: "kvs.flusher"},
 	{point: kvs.FaultWALAppend, reduced: "kvs.wal"},
 	{point: kvs.FaultIndexerPut, reduced: "kvs.indexer"},
 	{point: kvs.FaultCompactMerge, reduced: "kvs.compaction"},
-	{point: kvs.FaultIndexerGet, reduced: "kvs.indexer", mined: "kvs.mined.store_get"},
-	{point: kvs.FaultSSTableRead, reduced: "kvs.partition", mined: "kvs.mined.store_verifypartition"},
+	{point: kvs.FaultIndexerGet, reduced: "kvs.indexer"},
+	{point: kvs.FaultSSTableRead, reduced: "kvs.partition"},
 }
 
-// NewKVSAblationTarget opens a kvs store under dir and wires the selected
-// checker suite(s) or detector. Identical substrate and workload to
+// NewKVSAblationTarget opens a kvs store under dir and wires the reduced
+// suite or the selected detector. Identical substrate and workload to
 // NewKVSTarget, plus one flush before the run so the flusher's hook-fed
 // context is live; no recovery manager, so the verdict isolates detection.
 func NewKVSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target, error) {
@@ -158,21 +135,15 @@ func NewKVSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 	// error handler at that call site sees.
 	var lastSet atomic.Pointer[error]
 	closers := []func() error{rt.Close, store.Close}
-	switch source {
-	case CheckersReduced, CheckersMined, CheckersBoth:
-		if source != CheckersMined {
-			shadow, err := wdio.NewFS(kvs.ShadowDirFor(dir), 0)
-			if err != nil {
-				rt.Close()
-				store.Close()
-				return nil, err
-			}
-			store.InstallWatchdog(d, shadow)
+	if source == CheckersReduced {
+		shadow, err := wdio.NewFS(kvs.ShadowDirFor(dir), 0)
+		if err != nil {
+			rt.Close()
+			store.Close()
+			return nil, err
 		}
-		if source != CheckersReduced {
-			kvs.RegisterMinedStoreCheckers(d, store)
-		}
-	default:
+		store.InstallWatchdog(d, shadow)
+	} else {
 		closeArm, err := registerDetectorArm(d, source, store, &lastSet)
 		if err != nil {
 			rt.Close()
@@ -182,11 +153,6 @@ func NewKVSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 		closers = append([]func() error{closeArm}, closers...)
 	}
 
-	points := make([]FaultPoint, 0, len(kvsAblationPoints))
-	for _, ap := range kvsAblationPoints {
-		points = append(points, ap.attribute(source))
-	}
-
 	payload := []byte("ablation-payload")
 	var inflight atomic.Bool
 	return &Target{
@@ -194,7 +160,7 @@ func NewKVSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 		Runtime:  rt,
 		Driver:   d,
 		Injector: store.Injector(),
-		Points:   points,
+		Points:   ablationFaultPoints(kvsAblationPoints, source),
 		Step: func(tick int) {
 			// Same abandoned-write workload as NewKVSTarget: it keeps the
 			// hook-fed contexts fresh for the reduced suite and hangs
@@ -310,18 +276,15 @@ func registerDetectorArm(d *watchdog.Driver, source string, store *kvs.Store, la
 }
 
 // dfsAblationPoints: the reduced dfs.disk checker probes both the write and
-// read point of every volume; the mined ScanBlocks checker re-reads committed
-// blocks, traversing only the read points.
+// read point of every volume.
 var dfsAblationPoints = []ablationPoint{
 	{point: dfs.FaultVolumeWritePrefix + "0", reduced: "dfs.disk"},
 	{point: dfs.FaultVolumeWritePrefix + "1", reduced: "dfs.disk"},
-	{point: dfs.FaultVolumeReadPrefix + "0", reduced: "dfs.disk", mined: "dfs.mined.datanode_scanblocks"},
-	{point: dfs.FaultVolumeReadPrefix + "1", reduced: "dfs.disk", mined: "dfs.mined.datanode_scanblocks"},
+	{point: dfs.FaultVolumeReadPrefix + "0", reduced: "dfs.disk"},
+	{point: dfs.FaultVolumeReadPrefix + "1", reduced: "dfs.disk"},
 }
 
-// NewDFSAblationTarget builds a two-volume DataNode with the selected checker
-// suite(s). Four blocks are committed up front so the mined ScanBlocks
-// checker traverses both volumes' read points from the first tick.
+// NewDFSAblationTarget builds a two-volume DataNode with the reduced suite.
 func NewDFSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target, error) {
 	if err := validAblationSource("dfs", source); err != nil {
 		return nil, err
@@ -334,11 +297,6 @@ func NewDFSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < 4; i++ {
-		if _, err := dn.WriteBlock([]byte(fmt.Sprintf("ablation seed block %d", i))); err != nil {
-			return nil, err
-		}
-	}
 
 	base := []wdruntime.Option{
 		wdruntime.WithFactory(factory),
@@ -350,17 +308,7 @@ func NewDFSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 		return nil, err
 	}
 	d := rt.Driver()
-	if source != CheckersMined {
-		dn.InstallWatchdog(d)
-	}
-	if source != CheckersReduced {
-		dfs.RegisterMinedDataNodeCheckers(d, dn)
-	}
-
-	points := make([]FaultPoint, 0, len(dfsAblationPoints))
-	for _, ap := range dfsAblationPoints {
-		points = append(points, ap.attribute(source))
-	}
+	dn.InstallWatchdog(d)
 
 	payload := []byte("ablation block payload")
 	var inflight atomic.Bool
@@ -369,7 +317,7 @@ func NewDFSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 		Runtime:  rt,
 		Driver:   d,
 		Injector: dn.Injector(),
-		Points:   points,
+		Points:   ablationFaultPoints(dfsAblationPoints, source),
 		Step: func(tick int) {
 			if tick%4 != 0 || !inflight.CompareAndSwap(false, true) {
 				return

@@ -11,8 +11,8 @@ import (
 )
 
 // ablationCfg is a short scripted campaign shared by the ablation tests: one
-// fault on a write-path point (mined-uncovered) and one on a read-path point
-// (mined-covered), both plain errors inside the storm window.
+// fault on a write-path point and one on a read-path point, both plain errors
+// inside the storm window.
 func ablationCfg(write, read string) Config {
 	return Config{
 		Interval:      10 * time.Millisecond,
@@ -20,8 +20,8 @@ func ablationCfg(write, read string) Config {
 		StormTicks:    12,
 		CooldownTicks: 6,
 		GraceTicks:    3,
-		// Misses are the measurement here, not a failure: the mined suite is
-		// expected to drop write-path coverage.
+		// Each fault's detection is asserted below; the rate gate is not the
+		// measurement.
 		MinDetectionRate: 0.01,
 		Script: []ScriptedFault{
 			{Tick: 4, Point: write, Fault: faultinject.Fault{Kind: faultinject.Error}, DurationTicks: 4},
@@ -40,9 +40,9 @@ func outcomeByPoint(t *testing.T, v *Verdict) map[string]FaultOutcome {
 	return out
 }
 
-// TestKVSAblationCoverage pins the E13 coverage asymmetry on kvs: the reduced
-// suite detects both faults, the mined suite detects only the read-path fault
-// its source assertion traverses, and neither raises false positives.
+// TestKVSAblationCoverage pins the E13 coverage on kvs: the reduced suite
+// detects both the write-path and the read-path fault, each by the checker
+// guarding its point, and raises no false positives.
 func TestKVSAblationCoverage(t *testing.T) {
 	cfg := ablationCfg(kvs.FaultWALAppend, kvs.FaultIndexerGet)
 
@@ -53,8 +53,6 @@ func TestKVSAblationCoverage(t *testing.T) {
 		getChecker string
 	}{
 		{CheckersReduced, true, "kvs.wal", "kvs.indexer"},
-		{CheckersMined, false, UncoveredChecker(kvs.FaultWALAppend), "kvs.mined.store_get"},
-		{CheckersBoth, true, "kvs.wal", "kvs.mined.store_get"},
 	} {
 		t.Run(tc.source, func(t *testing.T) {
 			tgt, err := NewKVSAblationTarget(t.TempDir(), tc.source)
@@ -85,9 +83,9 @@ func TestKVSAblationCoverage(t *testing.T) {
 	}
 }
 
-// TestDFSAblationCoverage mirrors the kvs test on the DataNode: mined
-// ScanBlocks re-reads committed blocks, so it catches read faults on both
-// volumes but never a write fault.
+// TestDFSAblationCoverage mirrors the kvs test on the DataNode: the reduced
+// dfs.disk checker probes every volume's write and read points, so it catches
+// both faults.
 func TestDFSAblationCoverage(t *testing.T) {
 	cfg := ablationCfg(dfs.FaultVolumeWritePrefix+"0", dfs.FaultVolumeReadPrefix+"1")
 
@@ -97,7 +95,6 @@ func TestDFSAblationCoverage(t *testing.T) {
 		readChecker string
 	}{
 		{CheckersReduced, true, "dfs.disk"},
-		{CheckersMined, false, "dfs.mined.datanode_scanblocks"},
 	} {
 		t.Run(tc.source, func(t *testing.T) {
 			tgt, err := NewDFSAblationTarget(t.TempDir(), tc.source)
@@ -127,18 +124,30 @@ func TestDFSAblationCoverage(t *testing.T) {
 	}
 }
 
-// TestAblationSourceValidation: a bad source selector is an error, not a
+// TestAblationSourceValidation: a bad source selector — mined and both
+// included — is an error naming the sources the substrate accepts, not a
 // silently empty driver.
 func TestAblationSourceValidation(t *testing.T) {
 	if _, err := NewKVSAblationTarget(t.TempDir(), "all"); err == nil {
 		t.Error("NewKVSAblationTarget(all) succeeded")
 	}
-	if _, err := NewAblationTarget("synth", t.TempDir(), CheckersMined); err == nil {
+	if _, err := NewAblationTarget("synth", t.TempDir(), CheckersReduced); err == nil {
 		t.Error("NewAblationTarget(synth) succeeded")
 	}
-	// The detector arms are kvs-only; dfs names the sources it accepts.
-	_, err := NewDFSAblationTarget(t.TempDir(), CheckersProbe)
-	if err == nil || !strings.Contains(err.Error(), "reduced|mined|both") {
-		t.Errorf("NewDFSAblationTarget(probe) = %v, want an error naming reduced|mined|both", err)
+	for _, tc := range []struct {
+		substrate, source, valid string
+	}{
+		{"kvs", "mined", "reduced|probe|signal|handler|heartbeat"},
+		{"kvs", "both", "reduced|probe|signal|handler|heartbeat"},
+		{"dfs", "mined", "(want reduced)"},
+		{"dfs", "both", "(want reduced)"},
+		// The detector arms are kvs-only.
+		{"dfs", CheckersProbe, "(want reduced)"},
+	} {
+		_, err := NewAblationTarget(tc.substrate, t.TempDir(), tc.source)
+		if err == nil || !strings.Contains(err.Error(), tc.valid) {
+			t.Errorf("NewAblationTarget(%s, %s) = %v, want an error naming %s",
+				tc.substrate, tc.source, err, tc.valid)
+		}
 	}
 }

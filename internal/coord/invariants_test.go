@@ -4,9 +4,7 @@ import "testing"
 
 // TestLeaderZxidInvariant pins the zxid ordering law that holds at every
 // moment of a leader's life, busy or idle: the committed zxid never runs
-// ahead of the assigned one, and neither goes negative. Phrased as a
-// workload-independent guard so that awgen -from-tests can mine it into a
-// runtime checker (DESIGN.md §8).
+// ahead of the assigned one, and neither goes negative.
 func TestLeaderZxidInvariant(t *testing.T) {
 	l := standaloneLeader(t, nil)
 

@@ -170,9 +170,19 @@ func TestMimicDiskCheckerCatchesIOFault(t *testing.T) {
 func TestMimicDiskCheckerHangsOnBlackholedVolume(t *testing.T) {
 	dn := newNode(t, 1, nil)
 	dn.Injector().Arm(FaultVolumeWritePrefix+"0", faultinject.Fault{Kind: faultinject.Hang})
-	defer dn.Injector().Clear()
 	d := watchdog.New(watchdog.WithTimeout(200 * time.Millisecond))
 	dn.InstallWatchdog(d)
+	// The abandoned checker goes on to write its probe file once released:
+	// release it and let it finish before the volume directory goes.
+	t.Cleanup(func() {
+		dn.Injector().Clear()
+		for deadline := time.Now().Add(5 * time.Second); d.LeakedHung() > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("%d checker execution(s) still hung after release", d.LeakedHung())
+				return
+			}
+		}
+	})
 	// Make the mimic checker runnable without traffic.
 	d.Factory().Context("dfs.disk").MarkReady()
 	done := make(chan watchdog.Report, 1)

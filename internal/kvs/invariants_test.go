@@ -5,9 +5,7 @@ import "testing"
 // TestStoreStructuralInvariants pins properties of a healthy store that hold
 // regardless of what the workload has written: the partition set is
 // non-empty, the metrics registry is wired, and an idle partition passes
-// checksum verification. The assertions are deliberately phrased as
-// workload-independent guards so that awgen -from-tests can mine them into
-// runtime checkers (DESIGN.md §8).
+// checksum verification.
 func TestStoreStructuralInvariants(t *testing.T) {
 	s := openStore(t, nil)
 

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"gowatchdog/internal/autowatchdog"
-	"gowatchdog/internal/autowatchdog/testmine"
 )
 
 // GenFreshAnalyzer re-runs the AutoWatchdog generator for every committed
@@ -20,17 +19,10 @@ import (
 //
 //	// awgen:source <module-relative-dir>
 //
-// which awgen emits into every generated file, and the generator to re-run is
-// selected by the mode header:
-//
-//	// awgen:mode from-tests
-//
-// dispatches to the test-suite miner (§4, testmine); files without a mode
-// header predate it and replay the mainline region reduction. A generated
-// file without a source header, whose source directory no longer exists, or
-// whose source directory no longer holds a compilable package (the package
-// moved out from under the header) gets a warning: its freshness cannot be
-// verified.
+// which awgen emits into every generated file. A generated file without a
+// source header, whose source directory no longer exists, or whose source
+// directory no longer holds a compilable package (the package moved out from
+// under the header) gets a warning: its freshness cannot be verified.
 //
 // The comparison uses the generator's default configuration. Files generated
 // with custom -entries or patterns should carry a //wdlint:ignore genfresh
@@ -82,38 +74,21 @@ func (a *GenFreshAnalyzer) Run(u *Unit) []Diag {
 				continue
 			}
 
-			var fresh []byte
-			var regenHint string
-			if directiveValue(p, f, testmine.GenModeDirective) == testmine.GenModeFromTests {
-				analysis, err := testmine.Mine(testmine.Config{PackageDir: srcDir})
-				if err != nil {
-					report(p, f.Pos(), SevWarn,
-						"%s: re-mining source %q failed: %v", filepath.Base(name), src, err)
-					continue
-				}
-				fresh = analysis.GeneratedSource()
-				regenHint = fmt.Sprintf("go run ./cmd/awgen -from-tests -pkg %s -out %s -quiet",
-					src, moduleRel(u, p.Dir))
-			} else {
-				analysis, err := autowatchdog.Analyze(autowatchdog.Config{PackageDir: srcDir})
-				if err != nil {
-					report(p, f.Pos(), SevWarn,
-						"%s: re-analyzing source %q failed: %v", filepath.Base(name), src, err)
-					continue
-				}
-				fresh = analysis.GeneratedSource()
-				regenHint = fmt.Sprintf("go run ./cmd/awgen -pkg %s -out %s -quiet",
-					src, moduleRel(u, p.Dir))
+			analysis, err := autowatchdog.Analyze(autowatchdog.Config{PackageDir: srcDir})
+			if err != nil {
+				report(p, f.Pos(), SevWarn,
+					"%s: re-analyzing source %q failed: %v", filepath.Base(name), src, err)
+				continue
 			}
 			committed, err := os.ReadFile(name)
 			if err != nil {
 				report(p, f.Pos(), SevWarn, "%s: %v", filepath.Base(name), err)
 				continue
 			}
-			if !bytes.Equal(fresh, committed) {
+			if !bytes.Equal(analysis.GeneratedSource(), committed) {
 				report(p, f.Pos(), SevError,
-					"%s drifted from the current generator output for %s; regenerate: %s",
-					filepath.Base(name), src, regenHint)
+					"%s drifted from the current generator output for %s; regenerate: go run ./cmd/awgen -pkg %s -out %s -quiet",
+					filepath.Base(name), src, src, moduleRel(u, p.Dir))
 			}
 		}
 	}

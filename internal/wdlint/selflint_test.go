@@ -14,7 +14,6 @@ func TestSelfLint(t *testing.T) {
 		"../dfs",
 		"../kvs",
 		"../autowatchdog/genexample",
-		"../autowatchdog/testmine",
 		"../campaign",
 		"../campaign/meshscale",
 		"../wdruntime",

@@ -3,7 +3,7 @@
 // The watchdog abstraction (§3 of the paper) only delivers its guarantees —
 // side-effect isolation, accurate hang pinpointing, synchronized contexts —
 // when checker code follows a handful of conventions that the compiler does
-// not enforce. wdlint closes that gap with seven analyzers:
+// not enforce. wdlint closes that gap with six analyzers:
 //
 //	isolation   checkers must not mutate state shared with the main program
 //	            (§3.2: "watchdogs should not incur side effects")
@@ -16,10 +16,7 @@
 //	            compose the stack through wdruntime, not bare watchdog.New
 //	            or hand-wired wdmesh.New
 //	genfresh    *_wd_gen.go files must match the current AutoWatchdog
-//	            generator output (§4), whichever mode produced them
-//	testmine    checkers mined from test suites (awgen -from-tests) must
-//	            keep per-checker provenance headers and capture no
-//	            test-only helpers
+//	            generator output (§4)
 //
 // Findings can be suppressed with a comment directive:
 //
@@ -134,7 +131,6 @@ func All() []Analyzer {
 		&DriverCfgAnalyzer{},
 		&RuntimeCfgAnalyzer{},
 		&GenFreshAnalyzer{},
-		&TestMineAnalyzer{},
 	}
 }
 

@@ -216,57 +216,10 @@ func TestGenFreshMovedFixture(t *testing.T) {
 	}
 }
 
-// TestGenFreshFromTestsDrift: genfresh must dispatch on the awgen:mode header
-// and re-run the test miner, not the region reduction, for from-tests files.
-func TestGenFreshFromTestsDrift(t *testing.T) {
-	diags := lint(t, &GenFreshAnalyzer{}, "testminedrift")
-	d := wantDiag(t, diags, "stale_testmine_wd_gen.go drifted", "-from-tests")
-	if d.Severity != SevError {
-		t.Errorf("from-tests drift severity = %s, want error", d.Severity)
-	}
-	if n := len(diags); n != 1 {
-		t.Errorf("want 1 genfresh finding, got %d:\n%s", n, render(diags))
-	}
-}
-
-func TestTestMineFixture(t *testing.T) {
-	diags := lint(t, &TestMineAnalyzer{}, "testminebad")
-	d := wantDiag(t, diags, "registration without an awgen:from-test provenance header")
-	if d.Severity != SevError {
-		t.Errorf("missing-provenance severity = %s, want error", d.Severity)
-	}
-	d = wantDiag(t, diags, `"testFloor" is declared only in this package's _test.go files`)
-	if d.Severity != SevError {
-		t.Errorf("test-capture severity = %s, want error", d.Severity)
-	}
-	d = wantDiag(t, diags, "vanished_test.go", "no longer exists", "-from-tests")
-	if d.Severity != SevWarn {
-		t.Errorf("orphaned-provenance severity = %s, want warn", d.Severity)
-	}
-	// The clean registration must produce nothing.
-	for _, d := range diags {
-		if strings.Contains(d.Message, "widget_depth") {
-			t.Errorf("clean registration falsely flagged: %s", d)
-		}
-	}
-	if n := len(diags); n != 3 {
-		t.Errorf("want 3 testmine findings, got %d:\n%s", n, render(diags))
-	}
-}
-
-// TestTestMineSkipsRegionFiles: region-mode generated files (no awgen:mode
-// header) have no per-checker provenance and must not be flagged.
-func TestTestMineSkipsRegionFiles(t *testing.T) {
-	diags := lint(t, &TestMineAnalyzer{}, "genfreshbad")
-	if len(diags) != 0 {
-		t.Errorf("testmine flagged region-mode files:\n%s", render(diags))
-	}
-}
-
 // TestMarshalDiagsLocation: the JSON report carries a flat file:line:col
 // location per finding, and stays an array when empty.
 func TestMarshalDiagsLocation(t *testing.T) {
-	diags := lint(t, &GenFreshAnalyzer{}, "testminedrift")
+	diags := lint(t, &GenFreshAnalyzer{}, "genfreshmoved")
 	data, err := MarshalDiags(diags)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +232,7 @@ func TestMarshalDiagsLocation(t *testing.T) {
 		t.Fatalf("want 1 finding, got %d", len(decoded))
 	}
 	loc, _ := decoded[0]["location"].(string)
-	if !strings.Contains(loc, "stale_testmine_wd_gen.go:5:1") {
+	if !strings.Contains(loc, "moved_wd_gen.go:4:1") {
 		t.Errorf("location = %q, want file:line:col of the generated file", loc)
 	}
 	if decoded[0]["analyzer"] != "genfresh" {
