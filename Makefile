@@ -45,14 +45,16 @@ flake-census:
 
 # smoke runs short seeded fault-injection campaigns against every substrate.
 # The synth campaign is virtual-clock (instant, bit-deterministic from the
-# seed); the kvs and dfs campaigns exercise the real stores through the same
-# wdruntime stack the daemons deploy, on the real clock with tick-scale
-# breaker backoff. Any exit is nonzero if the self-hardening loop
-# false-positives or misses too much.
+# seed): its JSON verdict must match the committed seed-42 verdict byte for
+# byte (a failing verdict differs from it too). The kvs and dfs campaigns
+# exercise the real stores through the same wdruntime stack the daemons
+# deploy, on the real clock with tick-scale breaker backoff. Any exit is
+# nonzero if the self-hardening loop false-positives or misses too much.
 smoke:
 	$(GO) run ./cmd/wdchaos -substrate synth -seed 42 -interval 1s \
 		-warmup 5 -storm 30 -cooldown 15 -grace 8 \
-		-breaker 3 -breaker-backoff 10s -damp 20s -hang-budget 2
+		-breaker 3 -breaker-backoff 10s -damp 20s -hang-budget 2 -json \
+		| diff -u internal/campaign/testdata/synth-seed42.json -
 	$(GO) run ./cmd/wdchaos -substrate kvs -seed 2 -interval 20ms \
 		-warmup 5 -storm 20 -cooldown 10 -grace 8 \
 		-breaker 3 -breaker-backoff 100ms -damp 20s -hang-budget 2
@@ -84,9 +86,11 @@ meshscale-smoke:
 # cep-smoke runs the seeded temporal-rule campaign: a streak fault must fire
 # the consecutive-abnormal rule, a concurrent spread fault must fire the
 # distinct-checkers rule, and the fault-free control arm must fire nothing.
-# Virtual clock: instant and bit-deterministic from the seed.
+# Virtual clock: instant and bit-deterministic from the seed, so the JSON
+# verdict must match the committed seed-42 verdict byte for byte.
 cep-smoke:
-	$(GO) run ./cmd/wdchaos -substrate cep -seed 42
+	$(GO) run ./cmd/wdchaos -substrate cep -seed 42 -json \
+		| diff -u internal/campaign/testdata/cep-seed42.json -
 
 # super-smoke runs the seeded supervision campaign: a real crash-restart
 # supervisor over re-executions of wdchaos, scored on time-to-restart after

@@ -37,7 +37,7 @@ func main() {
 		zk2201      = flag.Bool("zk2201", false, "inject the ZOOKEEPER-2201 network hang")
 		injectAfter = flag.Duration("inject-after", 10*time.Second, "delay before injection")
 	)
-	wdf := wdruntime.BindFlags(flag.CommandLine)
+	wdcfg := wdruntime.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *follower {
@@ -61,7 +61,7 @@ func main() {
 			log.Fatalf("coordd: %v", err)
 		}
 	}
-	hb := detect.NewHeartbeat(clock.Real(), wdf.Timeout)
+	hb := detect.NewHeartbeat(clock.Real(), wdcfg.Timeout)
 	leader.OnHeartbeat(hb.Beat)
 	leader.Start()
 	defer leader.Close()
@@ -90,7 +90,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("coordd: %v", err)
 	}
-	rt, err := wdruntime.New(append(wdf.Options(), wdruntime.WithFactory(factory))...)
+	wdcfg.Factory = factory
+	rt, err := wdruntime.New(wdruntime.FromConfig(wdcfg))
 	if err != nil {
 		log.Fatalf("coordd: %v", err)
 	}
@@ -110,8 +111,8 @@ func main() {
 			log.Printf("coordd: watchdog shutdown: %v", err)
 		}
 	}()
-	if wdf.Journal != "" {
-		log.Printf("coordd: streaming detection journal to %s", wdf.Journal)
+	if wdcfg.JournalPath != "" {
+		log.Printf("coordd: streaming detection journal to %s", wdcfg.JournalPath)
 	}
 	if obsAddr := rt.ObsAddr(); obsAddr != "" {
 		log.Printf("coordd: observability on http://%s", obsAddr)

@@ -29,7 +29,7 @@ func main() {
 		failKind    = flag.String("fail-kind", "error", "volume fault kind: error|hang|delay")
 		injectAfter = flag.Duration("inject-after", 5*time.Second, "delay before injection")
 	)
-	wdf := wdruntime.BindFlags(flag.CommandLine)
+	wdcfg := wdruntime.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	dirs := make([]string, *volumes)
@@ -43,7 +43,8 @@ func main() {
 	}
 	log.Printf("dfsd: DataNode up with %d volumes under %s", *volumes, *dir)
 
-	rt, err := wdruntime.New(append(wdf.Options(), wdruntime.WithFactory(factory))...)
+	wdcfg.Factory = factory
+	rt, err := wdruntime.New(wdruntime.FromConfig(wdcfg))
 	if err != nil {
 		log.Fatalf("dfsd: %v", err)
 	}
@@ -62,8 +63,8 @@ func main() {
 			log.Printf("dfsd: watchdog shutdown: %v", err)
 		}
 	}()
-	if wdf.Journal != "" {
-		log.Printf("dfsd: streaming detection journal to %s", wdf.Journal)
+	if wdcfg.JournalPath != "" {
+		log.Printf("dfsd: streaming detection journal to %s", wdcfg.JournalPath)
 	}
 	if obsAddr := rt.ObsAddr(); obsAddr != "" {
 		log.Printf("dfsd: observability on http://%s", obsAddr)
@@ -92,7 +93,7 @@ func main() {
 		go func() {
 			time.Sleep(*injectAfter)
 			point := fmt.Sprintf("%s%d", dfs.FaultVolumeWritePrefix, *failVolume)
-			dn.Injector().Arm(point, faultinject.Fault{Kind: kind, Delay: 2 * wdf.Timeout})
+			dn.Injector().Arm(point, faultinject.Fault{Kind: kind, Delay: 2 * wdcfg.Timeout})
 			log.Printf("dfsd: injected %s at %s", *failKind, point)
 		}()
 	}

@@ -45,7 +45,7 @@ func main() {
 		autoRecover = flag.Bool("recover", false, "enable cheap recovery on alarms (§5.2)")
 		recoverExit = flag.Bool("recover-exit", false, "with -recover: exit 70 when escalation fails so a supervisor (wdsuper/systemd) restarts the process")
 	)
-	wdf := wdruntime.BindFlags(flag.CommandLine)
+	wdcfg := wdruntime.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	factory := watchdog.NewFactory()
@@ -84,10 +84,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("kvsd: shadow fs: %v", err)
 		}
-		ropts := append(wdf.Options(),
-			wdruntime.WithFactory(factory),
-			wdruntime.WithRegistry(store.Metrics()),
-		)
+		wdcfg.Factory = factory
+		wdcfg.Registry = store.Metrics()
 		if *autoRecover {
 			var mopts []recovery.Option
 			if *recoverExit {
@@ -110,10 +108,10 @@ func main() {
 					log.Printf("kvsd: recovery quarantined %d corrupt tables", total)
 					return nil
 				}))
-			ropts = append(ropts, wdruntime.WithRecovery(mgr))
+			wdcfg.Recovery = mgr
 			log.Print("kvsd: cheap recovery enabled")
 		}
-		rt, err := wdruntime.New(ropts...)
+		rt, err := wdruntime.New(wdruntime.FromConfig(wdcfg))
 		if err != nil {
 			log.Fatalf("kvsd: %v", err)
 		}
@@ -149,14 +147,14 @@ func main() {
 				log.Printf("kvsd: watchdog shutdown: %v", err)
 			}
 		}()
-		if wdf.Journal != "" {
-			log.Printf("kvsd: streaming detection journal to %s", wdf.Journal)
+		if wdcfg.JournalPath != "" {
+			log.Printf("kvsd: streaming detection journal to %s", wdcfg.JournalPath)
 		}
 		if obsAddr := rt.ObsAddr(); obsAddr != "" {
 			log.Printf("kvsd: observability on http://%s (/metrics /healthz /watchdog /debug/pprof)", obsAddr)
 		}
 		log.Printf("kvsd: watchdog running with %d checkers (interval=%v timeout=%v)",
-			len(driver.Checkers()), wdf.Interval, wdf.Timeout)
+			len(driver.Checkers()), wdcfg.Interval, wdcfg.Timeout)
 	}
 
 	if *inject != "" {
@@ -166,7 +164,7 @@ func main() {
 		}
 		go func() {
 			time.Sleep(*injectAfter)
-			store.Injector().Arm(point, faultinject.Fault{Kind: kind, Delay: 2 * wdf.Timeout})
+			store.Injector().Arm(point, faultinject.Fault{Kind: kind, Delay: 2 * wdcfg.Timeout})
 			log.Printf("kvsd: injected %s at %s", kind, point)
 		}()
 	}

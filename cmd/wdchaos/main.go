@@ -26,7 +26,7 @@
 // Unless -dir names one, the kvs and dfs substrates run in a scratch
 // directory that wdchaos creates and removes on exit, whatever the verdict.
 //
-// The synthetic substrate runs on a virtual clock by default, so a full
+// The synthetic substrate runs on a virtual clock, so a full
 // campaign completes in milliseconds and is reproducible bit-for-bit from the
 // seed. The kvs and dfs substrates exercise real stores on the real clock;
 // keep -interval small and the tick counts modest there. The mesh substrate
@@ -41,6 +41,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -69,14 +70,12 @@ func run() int {
 		checkers  = flag.String("checkers", "", "ablation checker source: reduced (kvs, dfs) or detector arm probe|signal|handler|heartbeat (kvs); empty = standard target")
 		dir       = flag.String("dir", "", "scratch directory for disk-backed substrates (default: a temp dir, removed on exit)")
 		seed      = flag.Int64("seed", 1, "schedule-generation seed")
-		realClock = flag.Bool("real-clock", false, "run the synth substrate on the real clock instead of a virtual one")
 
 		interval = flag.Duration("interval", 100*time.Millisecond, "campaign tick interval")
 		warmup   = flag.Int("warmup", 10, "fault-free warmup ticks")
 		storm    = flag.Int("storm", 40, "storm-phase ticks (faults are armed here)")
 		cooldown = flag.Int("cooldown", 20, "fault-free cooldown ticks")
 		grace    = flag.Int("grace", 5, "leading cooldown ticks where residue counts as collateral")
-		maxConc  = flag.Int("max-concurrent", 2, "max simultaneously armed faults in generated schedules")
 		minRate  = flag.Float64("min-detection-rate", 0.75, "pass threshold on detected/injected")
 
 		breaker    = flag.Int("breaker", 3, "checker circuit-breaker threshold (0 disables)")
@@ -84,7 +83,6 @@ func run() int {
 		damp       = flag.Duration("damp", 30*time.Second, "alarm-damping suppression window (0 disables)")
 		hangBudget = flag.Int("hang-budget", 2, "leaked hung-goroutine budget (0 disables)")
 
-		timeout = flag.Duration("wd-timeout", 0, "checker liveness timeout override (0 = substrate default)")
 		rawJSON = flag.Bool("json", false, "print the verdict as JSON instead of the human rendering")
 
 		nodes        = flag.Int("nodes", 0, "mesh substrates: cluster size (0 = substrate default: 3 for mesh, 500 for meshscale)")
@@ -92,12 +90,13 @@ func run() int {
 		meshInterval = flag.Duration("mesh-interval", 0, "mesh substrates: gossip period (0 = substrate default)")
 		fanout       = flag.Int("fanout", 3, "meshscale substrate: peers sampled per gossip round")
 
-		outages       = flag.Int("outages", 2, "super substrate: SIGKILL rounds before the hang/adoption/storm phases")
-		feedWindow    = flag.Duration("feed-window", 300*time.Millisecond, "super substrate: sd_notify watchdog window")
-		stormRestarts = flag.Int("storm-restarts", 3, "super substrate: crash-loop breaker threshold")
+		outages = flag.Int("outages", 2, "super substrate: SIGKILL rounds before the hang/adoption/storm phases")
 	)
 	flag.Parse()
 
+	if *checkers != "" && *substrate != "kvs" && *substrate != "dfs" {
+		return fail(errors.New("-checkers applies to the kvs and dfs substrates only"))
+	}
 	switch *substrate {
 	case "mesh":
 		n, iv := *nodes, *meshInterval
@@ -113,7 +112,7 @@ func run() int {
 	case "cep":
 		return runCEP(*seed, *interval, *rawJSON)
 	case "super":
-		return runSuper(*seed, *outages, *feedWindow, *stormRestarts, *dir, *rawJSON)
+		return runSuper(*seed, *outages, *dir, *rawJSON)
 	}
 
 	var opts []wdruntime.Option
@@ -132,9 +131,6 @@ func run() int {
 	if *hangBudget > 0 {
 		opts = append(opts, wdruntime.WithHangBudget(*hangBudget))
 	}
-	if *timeout > 0 {
-		opts = append(opts, wdruntime.WithTimeout(*timeout))
-	}
 	opts = append(opts, wdruntime.WithJitterSeed(*seed))
 
 	if *dir == "" && *substrate != "synth" {
@@ -145,7 +141,7 @@ func run() int {
 		defer os.RemoveAll(tmp)
 		*dir = tmp
 	}
-	tgt, err := buildTarget(*substrate, *checkers, *dir, *realClock, opts)
+	tgt, err := buildTarget(*substrate, *checkers, *dir, opts)
 	if err != nil {
 		return fail(err)
 	}
@@ -160,9 +156,7 @@ func run() int {
 		StormTicks:       *storm,
 		CooldownTicks:    *cooldown,
 		GraceTicks:       *grace,
-		MaxConcurrent:    *maxConc,
 		MinDetectionRate: *minRate,
-		HangBudget:       *hangBudget,
 	})
 	if err != nil {
 		return fail(err)
@@ -170,16 +164,9 @@ func run() int {
 	return report(verdict, verdict.Pass, *rawJSON)
 }
 
-func buildTarget(substrate, checkers, dir string, realClock bool, opts []wdruntime.Option) (*campaign.Target, error) {
+func buildTarget(substrate, checkers, dir string, opts []wdruntime.Option) (*campaign.Target, error) {
 	if substrate == "synth" {
-		if checkers != "" {
-			return nil, fmt.Errorf("-checkers applies to the kvs and dfs substrates only")
-		}
-		clk := clock.Clock(clock.Real())
-		if !realClock {
-			clk = clock.NewVirtual()
-		}
-		return campaign.NewSynthTarget(clk, opts...), nil
+		return campaign.NewSynthTarget(clock.NewVirtual(), opts...), nil
 	}
 	if checkers != "" {
 		return campaign.NewAblationTarget(substrate, dir, checkers, opts...)
@@ -239,18 +226,16 @@ func runCEP(seed int64, interval time.Duration, rawJSON bool) int {
 // runSuper scores the supervision campaign: a real Supervisor over
 // re-executions of this binary, SIGKILLed, SIGSTOPped, and crash-looped on a
 // seeded schedule (see campaign.RunSuper).
-func runSuper(seed int64, outages int, feedWindow time.Duration, stormRestarts int, dir string, rawJSON bool) int {
+func runSuper(seed int64, outages int, dir string, rawJSON bool) int {
 	exe, err := os.Executable()
 	if err != nil {
 		return fail(err)
 	}
 	verdict, err := campaign.RunSuper(campaign.SuperConfig{
-		Seed:          seed,
-		ChildCommand:  []string{exe},
-		Outages:       outages,
-		FeedWindow:    feedWindow,
-		StormRestarts: stormRestarts,
-		Dir:           dir,
+		Seed:         seed,
+		ChildCommand: []string{exe},
+		Outages:      outages,
+		Dir:          dir,
 	})
 	if err != nil {
 		return fail(err)

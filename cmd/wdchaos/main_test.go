@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -56,6 +57,28 @@ func TestScratchDirRemoved(t *testing.T) {
 			}
 			if len(left) != 0 {
 				t.Errorf("scratch directories left behind: %v", left)
+			}
+		})
+	}
+}
+
+// TestCheckersRejectedOffAblationSubstrates: -checkers selects ablation
+// targets that exist only for kvs and dfs. Every other substrate must refuse
+// it rather than run its own campaign and report a verdict for an arm that
+// never ran. Only substrates that finish instantly are run here, so a build
+// that ignores the flag fails fast.
+func TestCheckersRejectedOffAblationSubstrates(t *testing.T) {
+	for _, substrate := range []string{"synth", "cep"} {
+		t.Run(substrate, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-substrate", substrate, "-seed", "42", "-checkers", "probe")
+			cmd.Env = append(os.Environ(), envRunMain+"=1")
+			out, err := cmd.CombinedOutput()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+				t.Fatalf("exit = %v, want status 1\n%s", err, out)
+			}
+			if want := "-checkers applies to the kvs and dfs substrates only"; !strings.Contains(string(out), want) {
+				t.Fatalf("output lacks %q:\n%s", want, out)
 			}
 		})
 	}

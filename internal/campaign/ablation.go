@@ -158,7 +158,6 @@ func NewKVSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 	return &Target{
 		Name:     "kvs-ablation-" + source,
 		Runtime:  rt,
-		Driver:   d,
 		Injector: store.Injector(),
 		Points:   ablationFaultPoints(kvsAblationPoints, source),
 		Step: func(tick int) {
@@ -315,7 +314,6 @@ func NewDFSAblationTarget(dir, source string, opts ...wdruntime.Option) (*Target
 	return &Target{
 		Name:     "dfs-ablation-" + source,
 		Runtime:  rt,
-		Driver:   d,
 		Injector: dn.Injector(),
 		Points:   ablationFaultPoints(dfsAblationPoints, source),
 		Step: func(tick int) {

@@ -44,17 +44,10 @@ type Config struct {
 	// unmatched abnormal reports count as collateral, not false positives —
 	// residual effects (reaping, half-open probes) are still draining.
 	GraceTicks int
-	// MaxConcurrent caps simultaneously armed faults in generated schedules
-	// (default 2).
-	MaxConcurrent int
 	// MinDetectionRate is the pass threshold on detected/injected (default
 	// 0.75). Breaker-suppressed re-checks can legitimately cost detections,
 	// so 1.0 is only reasonable for hand-written scripts.
 	MinDetectionRate float64
-	// HangBudget, when positive, adds a pass criterion: the campaign-wide
-	// maximum of leaked hung checker goroutines must stay within it. Set it
-	// to the driver's WithHangBudget value.
-	HangBudget int
 	// Script, when non-nil, replaces the generated schedule with an explicit
 	// fault list; deterministic acceptance tests use it.
 	Script []ScriptedFault
@@ -75,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GraceTicks <= 0 {
 		c.GraceTicks = 5
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 2
 	}
 	if c.MinDetectionRate <= 0 {
 		c.MinDetectionRate = 0.75
@@ -102,6 +92,7 @@ type liveFault struct {
 type runner struct {
 	cfg Config
 	tgt *Target
+	d   *watchdog.Driver
 	clk clock.Clock
 
 	mu         sync.Mutex
@@ -142,7 +133,9 @@ func (r *runner) inGrace(tick int) bool {
 
 // Run executes one campaign against tgt and scores it. The target's driver
 // must not be Start()ed: the runner steps it synchronously with CheckAll so
-// one tick equals one execution of every checker.
+// one tick equals one execution of every checker. A runtime hang budget
+// (wdruntime.WithHangBudget) adds a pass criterion: the campaign-wide maximum
+// of leaked hung checker goroutines must stay within it.
 func Run(tgt *Target, cfg Config) (*Verdict, error) {
 	cfg = cfg.withDefaults()
 	checkerFor := make(map[string]FaultPoint, len(tgt.Points))
@@ -164,17 +157,19 @@ func Run(tgt *Target, cfg Config) (*Verdict, error) {
 		byTick[sf.Tick] = append(byTick[sf.Tick], sf)
 	}
 
+	d := tgt.Runtime.Driver()
 	r := &runner{
 		cfg:     cfg,
 		tgt:     tgt,
-		clk:     tgt.Driver.Clock(),
+		d:       d,
+		clk:     d.Clock(),
 		active:  make(map[string]*liveFault),
 		current: make(map[string]*liveFault),
 		alarmed: make(map[string]bool),
 	}
 	virtual, _ := r.clk.(*clock.Virtual)
-	tgt.Driver.OnReport(r.observeReport)
-	tgt.Driver.OnAlarm(func(watchdog.Alarm) {
+	d.OnReport(r.observeReport)
+	d.OnAlarm(func(watchdog.Alarm) {
 		r.mu.Lock()
 		r.alarms++
 		r.mu.Unlock()
@@ -225,7 +220,7 @@ func Run(tgt *Target, cfg Config) (*Verdict, error) {
 		// Let reapers finish claiming hang victims released by the disarms
 		// above, so whether a checker is still in flight at this tick does
 		// not depend on goroutine scheduling.
-		for i := 0; i < 1000 && tgt.Driver.LeakedHung() > int(tgt.Injector.Hanging()); i++ {
+		for i := 0; i < 1000 && d.LeakedHung() > int(tgt.Injector.Hanging()); i++ {
 			time.Sleep(100 * time.Microsecond)
 		}
 
@@ -235,9 +230,9 @@ func Run(tgt *Target, cfg Config) (*Verdict, error) {
 		if virtual != nil {
 			r.checkAllVirtual(virtual)
 		} else {
-			tgt.Driver.CheckAll()
+			d.CheckAll()
 		}
-		if leaked := tgt.Driver.LeakedHung(); leaked > 0 {
+		if leaked := d.LeakedHung(); leaked > 0 {
 			r.mu.Lock()
 			if leaked > r.leakedMax {
 				r.leakedMax = leaked
@@ -293,12 +288,12 @@ const virtualExecGrace = 100 * time.Millisecond
 // timeout would wake together with the timeout timer and the classification
 // would depend on goroutine scheduling.
 func (r *runner) checkAllVirtual(v *clock.Virtual) {
-	for _, st := range r.tgt.Driver.State() {
+	for _, st := range r.d.State() {
 		done := make(chan struct{})
 		name := st.Name
 		go func() {
 			defer close(done)
-			r.tgt.Driver.CheckNow(name)
+			r.d.CheckNow(name)
 		}()
 		blocked := true
 		deadline := time.Now().Add(virtualExecGrace)

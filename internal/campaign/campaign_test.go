@@ -44,7 +44,6 @@ func TestSeededCampaignSelfHardening(t *testing.T) {
 		StormTicks:    30,
 		CooldownTicks: 15,
 		GraceTicks:    8,
-		HangBudget:    2,
 		Script: []ScriptedFault{
 			{Tick: 5, Point: SynthPointAlpha, Fault: faultinject.Fault{Kind: faultinject.Flap}, DurationTicks: 12},
 			{Tick: 8, Point: SynthPointBeta, Fault: faultinject.Fault{Kind: faultinject.Hang}, DurationTicks: 10},
@@ -85,7 +84,7 @@ func TestSeededCampaignSelfHardening(t *testing.T) {
 		t.Fatal("open breakers produced no skips")
 	}
 	var gammaAbnormal int64
-	for _, st := range tgt.Driver.State() {
+	for _, st := range tgt.Runtime.Driver().State() {
 		switch st.Name {
 		case "synth.gamma":
 			gammaAbnormal = st.Abnormal
@@ -150,7 +149,6 @@ func TestCampaignCorrelatedHangsRespectBudget(t *testing.T) {
 		StormTicks:       16,
 		CooldownTicks:    10,
 		GraceTicks:       6,
-		HangBudget:       1,
 		MinDetectionRate: 0.5,
 		Script: []ScriptedFault{
 			{Tick: 6, Point: SynthPointAlpha, Fault: faultinject.Fault{Kind: faultinject.Hang}, DurationTicks: 8},
@@ -200,7 +198,6 @@ func TestGeneratedCampaignDeterministic(t *testing.T) {
 			StormTicks:    30,
 			CooldownTicks: 15,
 			GraceTicks:    8,
-			HangBudget:    2,
 		})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -226,7 +223,7 @@ func TestGeneratedCampaignDeterministic(t *testing.T) {
 // concurrency cap, and never overlap two faults on one checker.
 func TestGenerateBounds(t *testing.T) {
 	points := NewSynthTarget(clock.NewVirtual()).Points
-	cfg := Config{WarmupTicks: 6, StormTicks: 50, CooldownTicks: 10, MaxConcurrent: 2}
+	cfg := Config{WarmupTicks: 6, StormTicks: 50, CooldownTicks: 10}
 	for seed := int64(0); seed < 20; seed++ {
 		sched := Generate(seed, points, cfg)
 		again := Generate(seed, points, cfg)
@@ -332,7 +329,11 @@ func TestKVSCampaignSmoke(t *testing.T) {
 func TestStandingAlarmDetectsNothing(t *testing.T) {
 	v := clock.NewVirtual()
 	inj := faultinject.New(v)
-	d := watchdog.New(watchdog.WithClock(v), watchdog.WithInterval(time.Second), watchdog.WithTimeout(3*time.Second))
+	rt, err := wdruntime.New(wdruntime.WithClock(v), wdruntime.WithInterval(time.Second), wdruntime.WithTimeout(3*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := rt.Driver()
 	var stalled atomic.Bool
 	d.Register(watchdog.NewChecker("indicator", func(*watchdog.Context) error {
 		if stalled.Load() {
@@ -342,12 +343,12 @@ func TestStandingAlarmDetectsNothing(t *testing.T) {
 	}), watchdog.WithContext(readyContext()))
 	tgt := &Target{
 		Name:     "standing",
-		Driver:   d,
+		Runtime:  rt,
 		Injector: inj,
 		Points:   []FaultPoint{{Point: "point", Checker: "indicator", Kinds: []faultinject.Kind{faultinject.Error}}},
 		// The indicator is stuck in alarm until tick 6.
 		Step:  func(tick int) { stalled.Store(tick < 6) },
-		Close: func() error { return nil },
+		Close: rt.Close,
 	}
 	fail := faultinject.Fault{Kind: faultinject.Error}
 	verdict, err := Run(tgt, Config{

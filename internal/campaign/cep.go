@@ -19,48 +19,28 @@ type CEPConfig struct {
 	Seed int64
 	// Interval is the per-tick advance on the virtual clock (default 100ms).
 	Interval time.Duration
-	// WarmupTicks (default 10) run fault-free before the streak fault.
-	WarmupTicks int
-	// StreakTicks (default 8) is how long the victim's error fault stays
-	// armed; the consecutive rule needs streakThreshold abnormal reports.
-	StreakTicks int
-	// GapTicks (default 6) separate the streak and spread phases so the
-	// spread rule's window cannot absorb streak-phase hits.
-	GapTicks int
-	// SpreadTicks (default 4) is how long both spread faults stay armed.
-	SpreadTicks int
-	// CooldownTicks (default 10) run fault-free after the spread phase.
-	CooldownTicks int
 }
 
 // streakThreshold is the consecutive-abnormal count the streak rule arms
-// with; spreadWindowTicks bounds the distinct rule's window in ticks.
+// with; spreadWindowTicks bounds the distinct rule's window in ticks. The
+// phase lengths, in ticks:
 const (
 	streakThreshold   = 3
 	spreadWindowTicks = 4
-)
 
-func (c CEPConfig) withDefaults() CEPConfig {
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.WarmupTicks <= 0 {
-		c.WarmupTicks = 10
-	}
-	if c.StreakTicks <= 0 {
-		c.StreakTicks = 8
-	}
-	if c.GapTicks <= 0 {
-		c.GapTicks = 6
-	}
-	if c.SpreadTicks <= 0 {
-		c.SpreadTicks = 4
-	}
-	if c.CooldownTicks <= 0 {
-		c.CooldownTicks = 10
-	}
-	return c
-}
+	// cepWarmupTicks run fault-free before the streak fault.
+	cepWarmupTicks = 10
+	// cepStreakTicks is how long the victim's error fault stays armed; the
+	// consecutive rule needs streakThreshold abnormal reports.
+	cepStreakTicks = 8
+	// cepGapTicks separate the streak and spread phases so the spread rule's
+	// window cannot absorb streak-phase hits.
+	cepGapTicks = 6
+	// cepSpreadTicks is how long both spread faults stay armed.
+	cepSpreadTicks = 4
+	// cepCooldownTicks run fault-free after the spread phase.
+	cepCooldownTicks = 10
+)
 
 // CEPVerdict is the machine-readable temporal-rule campaign outcome; CI gates
 // on Pass.
@@ -128,7 +108,9 @@ func cepRules(victim string, interval time.Duration) []wdcep.Rule {
 // Detection latency is scored against the earliest contributing point event
 // (Firing.First), i.e. how far back the fired rule's evidence starts.
 func RunCEP(cfg CEPConfig) (*CEPVerdict, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Interval <= 0 {
+		cfg.Interval = 100 * time.Millisecond
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	all := []FaultPoint{
@@ -158,14 +140,14 @@ func RunCEP(cfg CEPConfig) (*CEPVerdict, error) {
 	rules := cepRules(victim.Checker, cfg.Interval)
 	v.Rules = len(rules)
 
-	streakAt := cfg.WarmupTicks
-	spreadAt := streakAt + cfg.StreakTicks + cfg.GapTicks
-	stormTicks := cfg.StreakTicks + cfg.GapTicks + cfg.SpreadTicks + 2
+	streakAt := cepWarmupTicks
+	spreadAt := streakAt + cepStreakTicks + cepGapTicks
+	stormTicks := cepStreakTicks + cepGapTicks + cepSpreadTicks + 2
 	errFault := faultinject.Fault{Kind: faultinject.Error}
 	script := []ScriptedFault{
-		{Tick: streakAt, Point: victim.Point, Fault: errFault, DurationTicks: cfg.StreakTicks},
-		{Tick: spreadAt, Point: spread[0].Point, Fault: errFault, DurationTicks: cfg.SpreadTicks},
-		{Tick: spreadAt, Point: spread[1].Point, Fault: errFault, DurationTicks: cfg.SpreadTicks},
+		{Tick: streakAt, Point: victim.Point, Fault: errFault, DurationTicks: cepStreakTicks},
+		{Tick: spreadAt, Point: spread[0].Point, Fault: errFault, DurationTicks: cepSpreadTicks},
+		{Tick: spreadAt, Point: spread[1].Point, Fault: errFault, DurationTicks: cepSpreadTicks},
 	}
 
 	// runArm executes one arm and returns the engine state after the runtime
@@ -178,9 +160,9 @@ func RunCEP(cfg CEPConfig) (*CEPVerdict, error) {
 		_, err := Run(tgt, Config{
 			Seed:          cfg.Seed,
 			Interval:      cfg.Interval,
-			WarmupTicks:   cfg.WarmupTicks,
+			WarmupTicks:   cepWarmupTicks,
 			StormTicks:    stormTicks,
-			CooldownTicks: cfg.CooldownTicks,
+			CooldownTicks: cepCooldownTicks,
 			Script:        script,
 		})
 		if cerr := tgt.Close(); err == nil {
@@ -226,7 +208,7 @@ func RunCEP(cfg CEPConfig) (*CEPVerdict, error) {
 	if !v.StreakDetected {
 		v.Failures = append(v.Failures,
 			fmt.Sprintf("consecutive rule never fired on %s (%d abnormal ticks injected)",
-				victim.Checker, cfg.StreakTicks))
+				victim.Checker, cepStreakTicks))
 	}
 	if !v.SpreadDetected {
 		v.Failures = append(v.Failures,

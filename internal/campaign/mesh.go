@@ -28,17 +28,21 @@ type MeshConfig struct {
 	// campaign runs on the real clock — the mesh is a real concurrent
 	// system — so keep it large enough for CI scheduling noise.
 	Interval time.Duration
-	// WarmupTicks (default 12) run fault-free; any cluster verdict raised
-	// here is a false positive.
-	WarmupTicks int
-	// FaultTicks (default 40) bound the fail-slow phase.
-	FaultTicks int
-	// ClearTicks (default 40) bound the post-fault clearing phase.
-	ClearTicks int
-	// PartitionTicks (default 30) bound the one-way-partition phase; any
-	// cluster verdict raised here is a false positive.
-	PartitionTicks int
 }
+
+// Mesh campaign phase lengths, in ticks of MeshConfig.Interval.
+const (
+	// meshWarmupTicks run fault-free; any cluster verdict raised here is a
+	// false positive.
+	meshWarmupTicks = 12
+	// meshFaultTicks bound the fail-slow phase.
+	meshFaultTicks = 40
+	// meshClearTicks bound the post-fault clearing phase.
+	meshClearTicks = 40
+	// meshPartitionTicks bound the one-way-partition phase; any cluster
+	// verdict raised here is a false positive.
+	meshPartitionTicks = 30
+)
 
 func (c MeshConfig) withDefaults() MeshConfig {
 	if c.Nodes < 3 {
@@ -50,19 +54,28 @@ func (c MeshConfig) withDefaults() MeshConfig {
 	if c.Interval <= 0 {
 		c.Interval = 25 * time.Millisecond
 	}
-	if c.WarmupTicks <= 0 {
-		c.WarmupTicks = 12
-	}
-	if c.FaultTicks <= 0 {
-		c.FaultTicks = 40
-	}
-	if c.ClearTicks <= 0 {
-		c.ClearTicks = 40
-	}
-	if c.PartitionTicks <= 0 {
-		c.PartitionTicks = 30
-	}
 	return c
+}
+
+// meshScenario draws the campaign's seeded scenario over the node names: the
+// fail-slow victim, then a one-way-partitioned link from>to between two
+// distinct healthy nodes, so the relay path is what keeps the false-positive
+// count at zero.
+func meshScenario(seed int64, names []string) (victim, from, to string) {
+	rng := rand.New(rand.NewSource(seed))
+	victim = names[rng.Intn(len(names))]
+	var healthy []string
+	for _, n := range names {
+		if n != victim {
+			healthy = append(healthy, n)
+		}
+	}
+	from = healthy[rng.Intn(len(healthy))]
+	to = healthy[rng.Intn(len(healthy)-1)]
+	if to == from {
+		to = healthy[len(healthy)-1]
+	}
+	return victim, from, to
 }
 
 // MeshObserver is one peer's view of the injected remote fault.
@@ -147,7 +160,6 @@ type meshNode struct {
 //     relay and quorum >= 2, no cluster verdict may be raised
 func RunMesh(cfg MeshConfig) (*MeshVerdict, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	inj := faultinject.New(clock.Real())
 	net := wdmesh.NewMemNetwork(clock.Real(), inj)
 
@@ -166,20 +178,8 @@ func RunMesh(cfg MeshConfig) (*MeshVerdict, error) {
 	}
 
 	// The victim's checker goes slow when its op point delays past the
-	// latency budget; the one-way partition cuts a link between two healthy
-	// nodes so the relay path is what keeps the false-positive count at zero.
-	victim := names[rng.Intn(len(names))]
-	var healthy []string
-	for _, n := range names {
-		if n != victim {
-			healthy = append(healthy, n)
-		}
-	}
-	from := healthy[rng.Intn(len(healthy))]
-	to := healthy[rng.Intn(len(healthy)-1)]
-	if to == from {
-		to = healthy[len(healthy)-1]
-	}
+	// latency budget.
+	victim, from, to := meshScenario(cfg.Seed, names)
 	v.FaultNode = victim
 	v.PartitionLink = from + ">" + to
 
@@ -232,7 +232,7 @@ func RunMesh(cfg MeshConfig) (*MeshVerdict, error) {
 	}
 
 	// Phase 1: warmup.
-	sleepTicks(cfg.WarmupTicks)
+	sleepTicks(meshWarmupTicks)
 	v.WarmupFalsePositives = int(verdictsRaised())
 
 	// Phase 2: fail-slow on the victim. The delay (2× the check interval)
@@ -254,7 +254,7 @@ func RunMesh(cfg MeshConfig) (*MeshVerdict, error) {
 			observers[n.name] = &MeshObserver{Node: n.name, DetectLatencyNS: -1}
 		}
 	}
-	deadline := time.Now().Add(time.Duration(cfg.FaultTicks) * cfg.Interval)
+	deadline := time.Now().Add(meshFaultTicks * cfg.Interval)
 	for time.Now().Before(deadline) {
 		pending := 0
 		for _, n := range nodes {
@@ -290,8 +290,7 @@ func RunMesh(cfg MeshConfig) (*MeshVerdict, error) {
 
 	v.Detected = true
 	var lats []int64
-	for _, name := range healthy {
-		ob := observers[name]
+	for _, ob := range observers {
 		v.Observers = append(v.Observers, *ob)
 		if ob.DetectLatencyNS < 0 {
 			v.Detected = false
@@ -309,7 +308,7 @@ func RunMesh(cfg MeshConfig) (*MeshVerdict, error) {
 
 	// Phase 3: disarm and wait for every verdict to clear.
 	inj.Disarm(victimPoint)
-	deadline = time.Now().Add(time.Duration(cfg.ClearTicks) * cfg.Interval)
+	deadline = time.Now().Add(meshClearTicks * cfg.Interval)
 	for time.Now().Before(deadline) {
 		open := 0
 		for _, n := range nodes {
@@ -326,7 +325,7 @@ func RunMesh(cfg MeshConfig) (*MeshVerdict, error) {
 	// both sides informed; quorum must hold the verdict count at zero.
 	baseline := verdictsRaised()
 	inj.Arm(wdmesh.LinkPoint(from, to), faultinject.Fault{Kind: faultinject.Drop})
-	sleepTicks(cfg.PartitionTicks)
+	sleepTicks(meshPartitionTicks)
 	v.PartitionFalsePositives = int(verdictsRaised() - baseline)
 	inj.Clear()
 

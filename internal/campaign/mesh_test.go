@@ -60,18 +60,23 @@ func TestRunMeshSeeded(t *testing.T) {
 }
 
 // TestRunMeshSeedDeterminesTopology: the seed alone picks the victim and the
-// partitioned link, so reruns of a CI seed reproduce the same scenario.
+// partitioned link, so reruns of a CI seed reproduce the same scenario, and
+// the link always joins two distinct healthy nodes.
 func TestRunMeshSeedDeterminesTopology(t *testing.T) {
-	a, err := RunMesh(MeshConfig{Seed: 11, Interval: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("RunMesh: %v", err)
-	}
-	b, err := RunMesh(MeshConfig{Seed: 11, Interval: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("RunMesh: %v", err)
-	}
-	if a.FaultNode != b.FaultNode || a.PartitionLink != b.PartitionLink {
-		t.Fatalf("same seed chose %s/%s then %s/%s",
-			a.FaultNode, a.PartitionLink, b.FaultNode, b.PartitionLink)
+	names := []string{"node0", "node1", "node2", "node3", "node4"}
+	for _, n := range []int{3, len(names)} {
+		for seed := int64(0); seed < 100; seed++ {
+			victim, from, to := meshScenario(seed, names[:n])
+			v2, f2, t2 := meshScenario(seed, names[:n])
+			if victim != v2 || from != f2 || to != t2 {
+				t.Fatalf("%d nodes, seed %d chose %s/%s>%s then %s/%s>%s", n, seed, victim, from, to, v2, f2, t2)
+			}
+			if from == to {
+				t.Fatalf("%d nodes, seed %d: partition link %s>%s is a self-loop", n, seed, from, to)
+			}
+			if victim == from || victim == to {
+				t.Fatalf("%d nodes, seed %d: victim %s on the partition link %s>%s", n, seed, victim, from, to)
+			}
+		}
 	}
 }

@@ -59,22 +59,6 @@ type Config struct {
 	// Interval is the virtual gossip period (default 100ms). It only scales
 	// the reported latencies; wall-clock cost depends on rounds alone.
 	Interval time.Duration
-	// LossyLinks directed links get a seeded 25%-drop fault for the whole
-	// run (default Nodes/2); DupLinks get a 25%-duplicate fault (default
-	// Nodes/4). Gossip must converge through both.
-	LossyLinks int
-	DupLinks   int
-	// ChurnKills is how many nodes the churn phase kills (default Nodes/100,
-	// minimum 2).
-	ChurnKills int
-	// ConvergeRounds, DetectRounds, ClearRounds, PartitionRounds, and
-	// RepairRounds cap the phases (0 = a default derived from the cluster's
-	// scale-aware suspicion window).
-	ConvergeRounds  int
-	DetectRounds    int
-	ClearRounds     int
-	PartitionRounds int
-	RepairRounds    int
 }
 
 func (c Config) withDefaults() Config {
@@ -93,18 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Millisecond
-	}
-	if c.LossyLinks <= 0 {
-		c.LossyLinks = c.Nodes / 2
-	}
-	if c.DupLinks <= 0 {
-		c.DupLinks = c.Nodes / 4
-	}
-	if c.ChurnKills <= 0 {
-		c.ChurnKills = c.Nodes / 100
-		if c.ChurnKills < 2 {
-			c.ChurnKills = 2
-		}
 	}
 	return c
 }
@@ -300,9 +272,11 @@ func Run(cfg Config) (*Verdict, error) {
 		c.nodes[i] = m
 	}
 
-	// Ambient lossy and duplicating links, armed for the whole run: gossip
-	// has to converge through them, which is why redundant fanout paths
-	// matter. The link set is seeded, directed, and self-loop-free.
+	// Ambient lossy and duplicating links, armed for the whole run: n/2
+	// links drop and n/4 duplicate a quarter of their frames. Gossip has to
+	// converge through them, which is why redundant fanout paths matter.
+	// The link set is seeded, directed, and self-loop-free.
+	lossyLinks, dupLinks := n/2, n/4
 	pickLink := func() (int, int) {
 		from := rng.Intn(n)
 		to := rng.Intn(n - 1)
@@ -311,35 +285,27 @@ func Run(cfg Config) (*Verdict, error) {
 		}
 		return from, to
 	}
-	for i := 0; i < cfg.LossyLinks; i++ {
+	for i := 0; i < lossyLinks; i++ {
 		from, to := pickLink()
 		inj.Arm(wdmesh.LinkPoint(c.names[from], c.names[to]),
 			faultinject.Fault{Kind: faultinject.Drop, Prob: 0.25})
 	}
-	for i := 0; i < cfg.DupLinks; i++ {
+	for i := 0; i < dupLinks; i++ {
 		from, to := pickLink()
 		inj.Arm(wdmesh.LinkPoint(c.names[from], c.names[to]),
 			faultinject.Fault{Kind: faultinject.Duplicate, Prob: 0.25})
 	}
 
+	// The phase caps, in rounds, scale with the cluster's scale-aware
+	// suspicion window. Remote complaints linger until the observation table
+	// prunes them (4× the suspicion window), so clearing is the slowest
+	// transition.
 	suspectRounds := int(c.nodes[0].SuspectAfter() / cfg.Interval)
-	if cfg.ConvergeRounds <= 0 {
-		cfg.ConvergeRounds = 4*suspectRounds + 40
-	}
-	if cfg.DetectRounds <= 0 {
-		cfg.DetectRounds = 4*suspectRounds + 40
-	}
-	if cfg.ClearRounds <= 0 {
-		// Remote complaints linger until the observation table prunes them
-		// (4× the suspicion window), so clearing is the slowest transition.
-		cfg.ClearRounds = 6*suspectRounds + 40
-	}
-	if cfg.PartitionRounds <= 0 {
-		cfg.PartitionRounds = 2*suspectRounds + 10
-	}
-	if cfg.RepairRounds <= 0 {
-		cfg.RepairRounds = 8*suspectRounds + 80
-	}
+	convergeRounds := 4*suspectRounds + 40
+	detectRounds := 4*suspectRounds + 40
+	clearRounds := 6*suspectRounds + 40
+	partitionRounds := 2*suspectRounds + 10
+	repairRounds := 8*suspectRounds + 80
 
 	v := &Verdict{
 		Substrate:     "meshscale",
@@ -348,22 +314,24 @@ func Run(cfg Config) (*Verdict, error) {
 		Fanout:        cfg.Fanout,
 		Quorum:        cfg.Quorum,
 		IntervalNS:    int64(cfg.Interval),
-		LossyLinks:    cfg.LossyLinks,
-		DupLinks:      cfg.DupLinks,
+		LossyLinks:    lossyLinks,
+		DupLinks:      dupLinks,
 		SuspectRounds: suspectRounds,
 	}
 
 	// Seeded roles, all drawn before the first step: the fail-slow victim,
 	// the partition groups (A cut one-way toward B, C relays), and the
-	// churn kills (never the victim, so phase bookkeeping stays disjoint).
+	// churn kills (n/100 of them, at least 2, never the victim, so phase
+	// bookkeeping stays disjoint).
 	victim := rng.Intn(n)
 	v.FaultNode = c.names[victim]
 	perm := rng.Perm(n)
 	groupA := perm[:n/10]
 	groupB := perm[n/10 : n/10+n/2]
-	kills := make([]int, 0, cfg.ChurnKills)
+	churnKills := max(n/100, 2)
+	kills := make([]int, 0, churnKills)
 	for _, i := range rng.Perm(n) {
-		if i != victim && len(kills) < cfg.ChurnKills {
+		if i != victim && len(kills) < churnKills {
 			kills = append(kills, i)
 		}
 	}
@@ -378,7 +346,7 @@ func Run(cfg Config) (*Verdict, error) {
 		}
 		return true
 	}
-	for c.rounds < cfg.ConvergeRounds && !allKnow() {
+	for c.rounds < convergeRounds && !allKnow() {
 		c.step()
 	}
 	v.Converged = allKnow()
@@ -418,7 +386,7 @@ func Run(cfg Config) (*Verdict, error) {
 		}
 		return all
 	}
-	for r := 0; r < cfg.DetectRounds && !detected(); r++ {
+	for r := 0; r < detectRounds && !detected(); r++ {
 		c.step()
 	}
 	v.Detected = detected()
@@ -455,7 +423,7 @@ func Run(cfg Config) (*Verdict, error) {
 	// Phase 3: clear.
 	c.sick[victim] = false
 	clearStart := c.rounds
-	for r := 0; r < cfg.ClearRounds && !c.noVerdicts(); r++ {
+	for r := 0; r < clearRounds && !c.noVerdicts(); r++ {
 		c.step()
 	}
 	v.Cleared = c.noVerdicts()
@@ -473,10 +441,10 @@ func Run(cfg Config) (*Verdict, error) {
 		}
 	}
 	base := c.raised()
-	for r := 0; r < cfg.PartitionRounds; r++ {
+	for r := 0; r < partitionRounds; r++ {
 		c.step()
 	}
-	v.PartitionRounds = cfg.PartitionRounds
+	v.PartitionRounds = partitionRounds
 	v.PartitionFalsePositives = int(c.raised() - base)
 	v.FalsePositives += v.PartitionFalsePositives
 	// Healing disarms the cut links; ambient faults that happened to share
@@ -517,7 +485,7 @@ func Run(cfg Config) (*Verdict, error) {
 		return true
 	}
 	churnStart := c.rounds
-	for r := 0; r < cfg.DetectRounds+2*suspectRounds && !convicted(); r++ {
+	for r := 0; r < detectRounds+2*suspectRounds && !convicted(); r++ {
 		c.step()
 	}
 	v.ChurnDetected = convicted()
@@ -559,7 +527,7 @@ func Run(cfg Config) (*Verdict, error) {
 		return c.noVerdicts()
 	}
 	rejoinStart := c.rounds
-	for r := 0; r < cfg.RepairRounds && !repaired(); r++ {
+	for r := 0; r < repairRounds && !repaired(); r++ {
 		c.step()
 	}
 	v.Repaired = repaired()
@@ -586,7 +554,7 @@ func Run(cfg Config) (*Verdict, error) {
 
 	if !v.Converged {
 		v.Failures = append(v.Failures,
-			fmt.Sprintf("cluster did not converge within %d rounds", cfg.ConvergeRounds))
+			fmt.Sprintf("cluster did not converge within %d rounds", convergeRounds))
 	}
 	if !v.Detected {
 		v.Failures = append(v.Failures,

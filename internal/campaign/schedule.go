@@ -26,6 +26,8 @@ type ScriptedFault struct {
 const (
 	minEventTicks = 4
 	maxEventTicks = 10
+	// maxConcurrent caps simultaneously armed faults.
+	maxConcurrent = 2
 	// eventProb is the per-tick probability of starting a new fault while
 	// below the concurrency cap.
 	eventProb = 0.3
@@ -38,7 +40,7 @@ const (
 // Generate derives a randomized fault schedule for the storm phase from seed.
 // The same seed, points, and config produce the same schedule. Generated
 // events never overlap on the same checker (the runner attributes detections
-// per checker), never exceed cfg.MaxConcurrent simultaneous faults, and all
+// per checker), never exceed maxConcurrent simultaneous faults, and all
 // end inside the storm so the cooldown starts fault-free.
 func Generate(seed int64, points []FaultPoint, cfg Config) []ScriptedFault {
 	cfg = cfg.withDefaults()
@@ -90,7 +92,7 @@ func Generate(seed int64, points []FaultPoint, cfg Config) []ScriptedFault {
 	}
 
 	for t := stormStart; t < stormEnd; t++ {
-		if activeAt(t) >= cfg.MaxConcurrent || rng.Float64() >= eventProb {
+		if activeAt(t) >= maxConcurrent || rng.Float64() >= eventProb {
 			continue
 		}
 		idx := pick(t)
@@ -100,7 +102,7 @@ func Generate(seed int64, points []FaultPoint, cfg Config) []ScriptedFault {
 		kind := points[idx].Kinds[rng.Intn(len(points[idx].Kinds))]
 		dur := minEventTicks + rng.Intn(maxEventTicks-minEventTicks+1)
 		arm(t, idx, kind, dur)
-		if kind == faultinject.Hang && activeAt(t) < cfg.MaxConcurrent && rng.Float64() < correlProb {
+		if kind == faultinject.Hang && activeAt(t) < maxConcurrent && rng.Float64() < correlProb {
 			if other := pick(t); other >= 0 && hasKind(points[other].Kinds, faultinject.Hang) {
 				arm(t, other, faultinject.Hang, dur)
 			}

@@ -79,46 +79,25 @@ type SuperConfig struct {
 	// Outages is the number of SIGKILL rounds (default 2). One SIGSTOP hang
 	// round and one adoption round always follow.
 	Outages int
-	// FeedWindow is the sd_notify watchdog window the supervisor arms
-	// (default 300ms); the child feeds at a third of it.
-	FeedWindow time.Duration
-	// ProbeEvery (default 20ms) and StuckAfter (default 2×FeedWindow) tune
-	// stuck detection on the supervisor's probe loop.
-	ProbeEvery time.Duration
-	StuckAfter time.Duration
-	// TermGrace bounds graceful termination (default 2s).
-	TermGrace time.Duration
-	// StormRestarts is the storm-phase breaker threshold (default 3).
-	StormRestarts int
 	// Dir is the scratch directory for the ledger and notify socket
 	// (default: a fresh temp dir).
 	Dir string
 }
 
-func (c SuperConfig) withDefaults() (SuperConfig, error) {
-	if len(c.ChildCommand) == 0 {
-		return c, errors.New("campaign: super: empty ChildCommand")
-	}
-	if c.Outages <= 0 {
-		c.Outages = 2
-	}
-	if c.FeedWindow <= 0 {
-		c.FeedWindow = 300 * time.Millisecond
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 20 * time.Millisecond
-	}
-	if c.StuckAfter <= 0 {
-		c.StuckAfter = 2 * c.FeedWindow
-	}
-	if c.TermGrace <= 0 {
-		c.TermGrace = 2 * time.Second
-	}
-	if c.StormRestarts <= 0 {
-		c.StormRestarts = 3
-	}
-	return c, nil
-}
+// Supervision campaign timing.
+const (
+	// superFeedWindow is the sd_notify watchdog window the supervisor arms;
+	// the child feeds at a third of it.
+	superFeedWindow = 300 * time.Millisecond
+	// superProbeEvery and superStuckAfter tune stuck detection on the
+	// supervisor's probe loop.
+	superProbeEvery = 20 * time.Millisecond
+	superStuckAfter = 2 * superFeedWindow
+	// superTermGrace bounds graceful termination.
+	superTermGrace = 2 * time.Second
+	// superStormRestarts is the storm-phase breaker threshold.
+	superStormRestarts = 3
+)
 
 // SuperOutage is one induced outage and its measured recovery.
 type SuperOutage struct {
@@ -183,9 +162,11 @@ type spawnEvent struct {
 //  5. crash-loop storm — a child that exits immediately must trip the
 //     restart-storm breaker and close its episode gave-up
 func RunSuper(cfg SuperConfig) (*SuperVerdict, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if len(cfg.ChildCommand) == 0 {
+		return nil, errors.New("campaign: super: empty ChildCommand")
+	}
+	if cfg.Outages <= 0 {
+		cfg.Outages = 2
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	dir := cfg.Dir
@@ -201,7 +182,7 @@ func RunSuper(cfg SuperConfig) (*SuperVerdict, error) {
 	v := &SuperVerdict{
 		Substrate:    "super",
 		Seed:         cfg.Seed,
-		FeedWindowNS: int64(cfg.FeedWindow),
+		FeedWindowNS: int64(superFeedWindow),
 	}
 
 	ledgerPath := filepath.Join(dir, "episodes.jsonl")
@@ -211,7 +192,7 @@ func RunSuper(cfg SuperConfig) (*SuperVerdict, error) {
 	}
 	defer ledger.CloseFile()
 
-	listener, err := supervise.ListenNotify(dir, cfg.FeedWindow)
+	listener, err := supervise.ListenNotify(dir, superFeedWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -232,9 +213,9 @@ func RunSuper(cfg SuperConfig) (*SuperVerdict, error) {
 		BackoffCap:  200 * time.Millisecond,
 		JitterSeed:  cfg.Seed,
 		HealthProbe: listener.Probe,
-		ProbeEvery:  cfg.ProbeEvery,
-		StuckAfter:  cfg.StuckAfter,
-		TermGrace:   cfg.TermGrace,
+		ProbeEvery:  superProbeEvery,
+		StuckAfter:  superStuckAfter,
+		TermGrace:   superTermGrace,
 		Trigger:     listener.Trigger(),
 		Ledger:      ledger,
 		OnSpawn: func(pid int) {
@@ -370,7 +351,7 @@ func RunSuper(cfg SuperConfig) (*SuperVerdict, error) {
 	stormCfg := superCfg
 	stormCfg.Name = "crashd"
 	stormCfg.Env = []string{EnvSuperChild + "=crash"}
-	stormCfg.MaxRestarts = cfg.StormRestarts
+	stormCfg.MaxRestarts = superStormRestarts
 	stormCfg.HealthProbe = nil
 	stormCfg.Trigger = nil
 	stormCfg.OnSpawn = nil
@@ -433,9 +414,9 @@ func RunSuper(cfg SuperConfig) (*SuperVerdict, error) {
 	if !v.StormBreaker {
 		v.Failures = append(v.Failures,
 			fmt.Sprintf("crash-loop did not trip the restart-storm breaker (err=%v)", stormErr))
-	} else if v.StormDeaths != cfg.StormRestarts {
+	} else if v.StormDeaths != superStormRestarts {
 		v.Failures = append(v.Failures,
-			fmt.Sprintf("storm breaker tripped at %d death(s), want %d", v.StormDeaths, cfg.StormRestarts))
+			fmt.Sprintf("storm breaker tripped at %d death(s), want %d", v.StormDeaths, superStormRestarts))
 	}
 	if !v.LedgerConsistent {
 		v.Failures = append(v.Failures, fmt.Sprintf(

@@ -41,8 +41,6 @@ type Target struct {
 	// Runtime is the composed watchdog stack. The runner steps its driver
 	// with CheckAll, so the runtime must not be started.
 	Runtime *wdruntime.Runtime
-	// Driver is Runtime.Driver(), kept as a field for the runner's hot path.
-	Driver *watchdog.Driver
 	// Injector hosts the fault points.
 	Injector *faultinject.Injector
 	// Recovery, when set, is consulted for the verdict's recovery outcomes.
@@ -152,7 +150,6 @@ func NewSynthTarget(clk clock.Clock, opts ...wdruntime.Option) *Target {
 	return &Target{
 		Name:     "synth",
 		Runtime:  rt,
-		Driver:   d,
 		Injector: inj,
 		Recovery: rec,
 		Points:   points,
@@ -207,7 +204,6 @@ func NewKVSTarget(dir string, opts ...wdruntime.Option) (*Target, error) {
 	return &Target{
 		Name:     "kvs",
 		Runtime:  rt,
-		Driver:   d,
 		Injector: store.Injector(),
 		Recovery: rec,
 		Points: []FaultPoint{
@@ -289,7 +285,6 @@ func NewDFSTarget(dir string, opts ...wdruntime.Option) (*Target, error) {
 	return &Target{
 		Name:     "dfs",
 		Runtime:  rt,
-		Driver:   d,
 		Injector: dn.Injector(),
 		Recovery: rec,
 		Points: []FaultPoint{
@@ -314,12 +309,10 @@ func NewDFSTarget(dir string, opts ...wdruntime.Option) (*Target, error) {
 	}, nil
 }
 
-// NewTarget builds the named substrate ("synth", "kvs", "dfs"); dir is the
-// scratch directory for disk-backed substrates.
+// NewTarget builds the named disk-backed substrate ("kvs", "dfs") under the
+// scratch directory dir.
 func NewTarget(name, dir string, opts ...wdruntime.Option) (*Target, error) {
 	switch name {
-	case "synth":
-		return NewSynthTarget(clock.Real(), opts...), nil
 	case "kvs":
 		return NewKVSTarget(filepath.Join(dir, "kvs"), opts...)
 	case "dfs":

@@ -84,7 +84,7 @@ type Verdict struct {
 func (r *runner) verdict(total int) *Verdict {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d := r.tgt.Driver
+	d := r.d
 	v := &Verdict{
 		Substrate:        r.tgt.Name,
 		Seed:             r.cfg.Seed,
@@ -152,9 +152,9 @@ func (r *runner) verdict(total int) *Verdict {
 		v.Failures = append(v.Failures,
 			fmt.Sprintf("detection rate %.2f below threshold %.2f", v.DetectionRate, r.cfg.MinDetectionRate))
 	}
-	if r.cfg.HangBudget > 0 && v.LeakedHungMax > r.cfg.HangBudget {
+	if budget := r.tgt.Runtime.Config().HangBudget; budget > 0 && v.LeakedHungMax > budget {
 		v.Failures = append(v.Failures,
-			fmt.Sprintf("leaked hung goroutines peaked at %d, budget %d", v.LeakedHungMax, r.cfg.HangBudget))
+			fmt.Sprintf("leaked hung goroutines peaked at %d, budget %d", v.LeakedHungMax, budget))
 	}
 	v.Pass = len(v.Failures) == 0
 	return v

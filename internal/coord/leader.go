@@ -56,6 +56,15 @@ type request struct {
 // ErrShutdown is returned for requests submitted after Close.
 var ErrShutdown = errors.New("coord: leader shut down")
 
+const (
+	// sessionTimeout is the idle session expiry.
+	sessionTimeout = 10 * time.Second
+	// proposalTimeout bounds one proposal round trip: generous, like
+	// ZooKeeper's, since the point of ZK-2201 is that a blocked send wedges
+	// the pipeline far longer than any detector's horizon.
+	proposalTimeout = 30 * time.Second
+)
+
 // LeaderConfig configures a Leader.
 type LeaderConfig struct {
 	// FollowerAddr is the follower's proposal listener; empty runs
@@ -64,12 +73,6 @@ type LeaderConfig struct {
 	// HeartbeatInterval is the cadence of the leader's heartbeat thread
 	// (default 500ms).
 	HeartbeatInterval time.Duration
-	// SessionTimeout is the idle session expiry (default 10s).
-	SessionTimeout time.Duration
-	// SendTimeout bounds one proposal round trip (default 30s — generous,
-	// like ZooKeeper's; the point of ZK-2201 is that a blocked send wedges
-	// the pipeline far longer than any detector's horizon).
-	SendTimeout time.Duration
 	// Clock defaults to the real clock.
 	Clock clock.Clock
 	// Injector defaults to a disabled injector.
@@ -118,12 +121,6 @@ func NewLeader(cfg LeaderConfig) *Leader {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 500 * time.Millisecond
 	}
-	if cfg.SessionTimeout <= 0 {
-		cfg.SessionTimeout = 10 * time.Second
-	}
-	if cfg.SendTimeout <= 0 {
-		cfg.SendTimeout = 30 * time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real()
 	}
@@ -140,7 +137,7 @@ func NewLeader(cfg LeaderConfig) *Leader {
 		mets:     cfg.Metrics,
 		factory:  cfg.WatchdogFactory,
 		tree:     NewDataTree(),
-		sessions: NewSessionTable(cfg.Clock, cfg.SessionTimeout),
+		sessions: NewSessionTable(cfg.Clock, sessionTimeout),
 		reqCh:    make(chan *request, 1024),
 		stop:     make(chan struct{}),
 		pipeDone: make(chan struct{}),
@@ -375,7 +372,7 @@ func (l *Leader) syncToFollower(req *request) error {
 	if err != nil {
 		return err
 	}
-	if err := sendProposal(conn, l.cfg.SendTimeout, proposalOp(req.op), req.path, req.data); err != nil {
+	if err := sendProposal(conn, proposalTimeout, proposalOp(req.op), req.path, req.data); err != nil {
 		l.dropFollowerConn()
 		return err
 	}

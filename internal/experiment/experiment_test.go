@@ -74,7 +74,7 @@ func logAlarms(tgt *campaign.Target) *alarmLog {
 		l.tick.Store(int64(tick))
 		step(tick)
 	}
-	tgt.Driver.OnReport(func(rep watchdog.Report) {
+	tgt.Runtime.Driver().OnReport(func(rep watchdog.Report) {
 		if rep.Status.Abnormal() {
 			l.mu.Lock()
 			l.ticks[int(l.tick.Load())] = true
@@ -111,7 +111,7 @@ func runSideBySide(cfg campaign.Config, tgts []*campaign.Target) ([]*campaign.Ve
 			verdicts[i], errs[i] = campaign.Run(tgt, cfg)
 			// An abandoned fail-slow execution goes on to write its shadow
 			// table: let it finish before the caller removes the directory.
-			for deadline := time.Now().Add(5 * time.Second); tgt.Driver.LeakedHung() > 0 && time.Now().Before(deadline); {
+			for deadline := time.Now().Add(5 * time.Second); tgt.Runtime.Driver().LeakedHung() > 0 && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 			}
 		}()
@@ -172,7 +172,7 @@ func runShared(dir string) error {
 	// The full suite is the reduced arm; each prefix is another reduced
 	// store with the checkers past it paused.
 	reduced := tgts[0]
-	for _, st := range reduced.Driver.State() {
+	for _, st := range reduced.Runtime.Driver().State() {
 		shared.suite = append(shared.suite, st.Name)
 	}
 	logs := make([]*alarmLog, len(shared.suite))
@@ -183,7 +183,7 @@ func runShared(dir string) error {
 			return err
 		}
 		for _, name := range shared.suite[k:] {
-			tgt.Driver.Pause(name)
+			tgt.Runtime.Driver().Pause(name)
 		}
 		logs[k-1] = logAlarms(tgt)
 	}

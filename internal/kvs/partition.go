@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gowatchdog/internal/memtable"
 	"gowatchdog/internal/sstable"
@@ -254,8 +253,7 @@ func (p *partition) appendPending(payload []byte, rec pendingRecord) (*commitBat
 // awaitCommit is the second half: it returns once batch b is committed,
 // with the batch's outcome. Any number of goroutines may await
 // the same batch, holding no lock. The first waiter to find no commit in
-// flight becomes the leader: it optionally waits out the latency budget so
-// more appends can pile on, takes the open batch, issues ONE fsync for it,
+// flight becomes the leader: it takes the open batch, issues ONE fsync for it,
 // publishes its records to the memtable in log order, and wakes everyone.
 // Records of a failed sync are never published, so the memtable always
 // trails the durable WAL prefix — a crash can lose only mutations whose
@@ -276,9 +274,6 @@ func (s *Store) awaitCommit(b *commitBatch) error {
 		}
 		p.gcSyncing = true
 		p.gcCommitMu.Unlock()
-		if s.cfg.GroupCommitBudget > 0 {
-			time.Sleep(s.cfg.GroupCommitBudget) // bounded coalescing window
-		}
 		p.gcMu.Lock()
 		batch, log := p.gcOpen, p.log
 		p.gcOpen = &commitBatch{p: p}

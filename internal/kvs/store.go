@@ -54,11 +54,6 @@ type Config struct {
 	InMemory bool
 	// Sync selects the write-path durability policy (default SyncGroup).
 	Sync SyncPolicy
-	// GroupCommitBudget is how long a group-commit leader waits for
-	// concurrent writers to pile onto its batch before issuing the fsync.
-	// 0 (the default) syncs immediately, coalescing only writers that are
-	// already parked — no added latency, natural batching under load.
-	GroupCommitBudget time.Duration
 	// Partitions is the number of key-range partitions (default 4).
 	Partitions int
 	// FlushThresholdBytes triggers a memtable flush (default 1 MiB).

@@ -59,7 +59,8 @@ func (noopObserver) ObserveReport(Report, Status, bool) {}
 func (noopObserver) ObserveAlarm(Alarm)                 {}
 
 func BenchmarkCheckNowObserved(b *testing.B) {
-	d := New(WithObserver(noopObserver{}))
+	d := New()
+	d.SetObserver(noopObserver{})
 	d.Register(NewChecker("bench", func(*Context) error { return nil }))
 	d.Factory().Context("bench").MarkReady()
 	b.ReportAllocs()

@@ -42,8 +42,8 @@ func (s BreakerState) String() string {
 }
 
 // BreakerConfig configures the per-checker circuit breaker. The zero value
-// disables the breaker; set Threshold > 0 to enable it (driver-wide via
-// WithBreaker, per checker via the Breaker option).
+// disables the breaker; set Threshold > 0 to enable it for every checker with
+// WithBreaker.
 type BreakerConfig struct {
 	// Threshold is how many consecutive checker failures — StatusError,
 	// StatusStuck, or StatusCrashed — trip the breaker open. <= 0 disables

@@ -137,33 +137,6 @@ func TestBreakerBackoffCapAndJitter(t *testing.T) {
 	}
 }
 
-// TestBreakerPerCheckerOverride: the Breaker checker option overrides the
-// driver-wide config, including disabling it with a zero config.
-func TestBreakerPerCheckerOverride(t *testing.T) {
-	v := clock.NewVirtual()
-	d := New(WithClock(v), WithBreaker(noJitter(1, time.Second)))
-	boom := func(*Context) error { return errors.New("boom") }
-	d.Register(NewChecker("guarded", boom))
-	d.Register(NewChecker("raw", boom), Breaker(BreakerConfig{}))
-	d.Factory().Context("guarded").MarkReady()
-	d.Factory().Context("raw").MarkReady()
-
-	for i := 0; i < 3; i++ {
-		d.CheckNow("guarded")
-		d.CheckNow("raw")
-	}
-	states := d.State()
-	if states[0].Breaker != BreakerOpen {
-		t.Fatalf("guarded breaker = %v, want open", states[0].Breaker)
-	}
-	if states[1].BreakerEnabled {
-		t.Fatalf("raw checker has breaker enabled")
-	}
-	if st, _ := d.CheckerStats("raw"); st.Abnormal != 3 {
-		t.Fatalf("raw abnormal = %d, want 3 (never skipped)", st.Abnormal)
-	}
-}
-
 // TestBreakerCountsHangs: stuck outcomes count toward the trip threshold, and
 // an open breaker suppresses the per-tick stuck re-reports too.
 func TestBreakerCountsHangs(t *testing.T) {

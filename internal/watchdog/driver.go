@@ -33,7 +33,7 @@ type Driver struct {
 	defaultInterval time.Duration
 	defaultTimeout  time.Duration
 	historyCap      int
-	breakerCfg      BreakerConfig // default per-checker breaker; zero = disabled
+	breakerCfg      BreakerConfig // every checker's breaker; zero = disabled
 	hangBudget      int           // max concurrently-leaked hung goroutines; 0 = unlimited
 	dampWindow      time.Duration // alarm suppression window; 0 = no damping
 	jitterSeed      int64
@@ -104,13 +104,9 @@ func WithHistory(n int) Option { return func(d *Driver) { d.historyCap = n } }
 // hooks already write into).
 func WithFactory(f *Factory) Option { return func(d *Driver) { d.factory = f } }
 
-// WithObserver sets the driver's execution observer (see Observer).
-func WithObserver(o Observer) Option { return func(d *Driver) { d.obs = o } }
-
-// WithBreaker sets the default circuit breaker for every checker (overridable
-// per checker with the Breaker option). The breaker is off by default: tests
-// and experiments that deliberately crash-loop checkers rely on every
-// execution running.
+// WithBreaker sets the circuit breaker every checker runs under. The breaker
+// is off by default: tests and experiments that deliberately crash-loop
+// checkers rely on every execution running.
 func WithBreaker(cfg BreakerConfig) Option { return func(d *Driver) { d.breakerCfg = cfg } }
 
 // WithHangBudget caps how many hung checker goroutines the driver will leak
@@ -209,11 +205,6 @@ func ValidateWith(fn func(Report) bool) CheckerOption {
 // WithContext binds the checker to a specific context instead of the
 // factory-managed context named after the checker.
 func WithContext(ctx *Context) CheckerOption { return func(r *registered) { r.ctx = ctx } }
-
-// Breaker overrides the driver-wide circuit breaker for this checker. Pass a
-// zero BreakerConfig to disable the breaker for a checker on a driver
-// configured with WithBreaker.
-func Breaker(cfg BreakerConfig) CheckerOption { return func(r *registered) { r.brk = cfg } }
 
 // Register adds a checker. It panics if the driver is running or the name is
 // already taken — checker sets are assembled at startup, mirroring the

@@ -37,7 +37,8 @@ func (o *recordingObserver) ObserveAlarm(a Alarm) {
 // and first-report marker, plus the alarm.
 func TestObserverSeesTransitions(t *testing.T) {
 	obs := &recordingObserver{}
-	d := New(WithObserver(obs))
+	d := New()
+	d.SetObserver(obs)
 	var fail bool
 	d.Register(NewChecker("t", func(*Context) error {
 		if fail {

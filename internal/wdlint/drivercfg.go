@@ -21,7 +21,7 @@ import (
 //   - two Register calls in one function statically registering the same
 //     checker name, which panics at run time;
 //   - drivers that are started with no report sink: no OnReport/OnAlarm
-//     listener, no observer (WithObserver/SetObserver), and no polling of
+//     listener, no observer (SetObserver), and no polling of
 //     driver state — every detection would be computed and dropped.
 type DriverCfgAnalyzer struct{}
 
@@ -107,7 +107,7 @@ var consumeMethods = map[string]bool{
 
 // checkSinkless flags drivers constructed with watchdog.New, started in the
 // same function, whose reports and alarms observably go nowhere: no sink
-// method, no WithObserver option, no on-demand consumption, and the driver
+// method, no on-demand consumption, and the driver
 // variable never escapes the function (an escaping driver may be wired
 // elsewhere, e.g. store.InstallWatchdog(driver, ...)).
 func (a *DriverCfgAnalyzer) checkSinkless(p *Package, fd *ast.FuncDecl,
@@ -143,13 +143,7 @@ func (a *DriverCfgAnalyzer) checkSinkless(p *Package, fd *ast.FuncDecl,
 		if obj == nil {
 			return true
 		}
-		di := &driverInfo{pos: call.Pos()}
-		for _, arg := range call.Args {
-			if ac, ok := arg.(*ast.CallExpr); ok && watchdogFunc(p, ac.Fun) == "WithObserver" {
-				di.hasSink = true
-			}
-		}
-		byObj[obj] = di
+		byObj[obj] = &driverInfo{pos: call.Pos()}
 		accounted[id] = true
 		return true
 	})
@@ -203,7 +197,7 @@ func (a *DriverCfgAnalyzer) checkSinkless(p *Package, fd *ast.FuncDecl,
 	for _, di := range byObj {
 		if di.started && !di.hasSink && !di.consumed && !di.escaped {
 			report(p, di.pos, SevWarn,
-				"driver is started but no report sink is wired: add OnReport/OnAlarm, an observer (WithObserver), or poll its state — detections are computed and dropped otherwise")
+				"driver is started but no report sink is wired: add OnReport/OnAlarm, an observer (SetObserver), or poll its state — detections are computed and dropped otherwise")
 		}
 	}
 }

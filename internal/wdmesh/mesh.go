@@ -45,12 +45,6 @@ type Config struct {
 	// Entries are chosen least-gossiped first so new rumors spread before
 	// well-travelled ones.
 	MaxDelta int
-	// AntiEntropyEvery makes every Nth round push one sampled peer a Full
-	// frame carrying the complete digest table (default 8; 0 disables).
-	// This is the repair path for nodes rejoining after a partition or
-	// restart, whose stale acks would otherwise suppress the deltas they
-	// need.
-	AntiEntropyEvery int
 	// DemoteAfter is how many consecutive send failures demote a link out of
 	// the fanout sample set (default 3). Demoted links still get probe and
 	// anti-entropy traffic, and one success re-promotes them.
@@ -90,6 +84,12 @@ type Config struct {
 	// Logf, when set, receives one-line mesh lifecycle messages.
 	Logf func(format string, args ...any)
 }
+
+// antiEntropyEvery makes every Nth round push one sampled peer a Full frame
+// carrying the complete digest table. This is the repair path for nodes
+// rejoining after a partition or restart, whose stale acks would otherwise
+// suppress the deltas they need.
+const antiEntropyEvery = 8
 
 // ackRef is the freshest digest a peer has evidenced knowing for one node.
 type ackRef struct {
@@ -212,11 +212,6 @@ func New(cfg Config) (*Mesh, error) {
 	}
 	if cfg.MaxDelta <= 0 {
 		cfg.MaxDelta = 512
-	}
-	if cfg.AntiEntropyEvery < 0 {
-		cfg.AntiEntropyEvery = 0
-	} else if cfg.AntiEntropyEvery == 0 {
-		cfg.AntiEntropyEvery = 8
 	}
 	if cfg.DemoteAfter <= 0 {
 		cfg.DemoteAfter = 3
@@ -467,7 +462,7 @@ type target struct {
 
 // sampleLocked picks this round's destinations: Fanout healthy links chosen
 // uniformly (seeded), one demoted link probed every ProbeEvery rounds, and —
-// every AntiEntropyEvery rounds — one peer flagged for a full-table
+// every antiEntropyEvery rounds — one peer flagged for a full-table
 // anti-entropy frame. Callers hold m.mu.
 func (m *Mesh) sampleLocked() []target {
 	eligible := m.scratch[:0]
@@ -499,7 +494,7 @@ func (m *Mesh) sampleLocked() []target {
 		idx := demoted[m.rng.Intn(len(demoted))]
 		targets = append(targets, target{p: m.peers[idx]})
 	}
-	if m.cfg.AntiEntropyEvery > 0 && m.round%uint64(m.cfg.AntiEntropyEvery) == 0 {
+	if m.round%antiEntropyEvery == 0 {
 		p := m.peers[m.rng.Intn(len(m.peers))]
 		picked := false
 		for i := range targets {

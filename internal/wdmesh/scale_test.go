@@ -47,17 +47,16 @@ func (c *stepCluster) addNode(t testing.TB, name string, k int, epoch int64, src
 		}
 	}
 	m, err := New(Config{
-		Self:             name,
-		Peers:            peers,
-		Interval:         c.interval,
-		Quorum:           2,
-		Fanout:           k,
-		AntiEntropyEvery: 8,
-		Epoch:            epoch,
-		JitterSeed:       1000 + int64(name[1]-'0')*100 + int64(name[2]-'0')*10 + int64(name[3]-'0'),
-		Clock:            c.clk,
-		Transport:        c.net.Node(name),
-		Source:           src(name),
+		Self:       name,
+		Peers:      peers,
+		Interval:   c.interval,
+		Quorum:     2,
+		Fanout:     k,
+		Epoch:      epoch,
+		JitterSeed: 1000 + int64(name[1]-'0')*100 + int64(name[2]-'0')*10 + int64(name[3]-'0'),
+		Clock:      c.clk,
+		Transport:  c.net.Node(name),
+		Source:     src(name),
 	})
 	if err != nil {
 		t.Fatalf("New(%s): %v", name, err)

@@ -69,17 +69,16 @@ func trajectoryCluster(t *testing.T, n int) string {
 		})
 		self := names[i]
 		m, err := New(Config{
-			Self:             self,
-			Peers:            peers,
-			Interval:         interval,
-			Quorum:           2,
-			Fanout:           3,
-			MaxDelta:         6,
-			AntiEntropyEvery: 8,
-			Epoch:            epoch,
-			JitterSeed:       int64(500 + i),
-			Clock:            clk,
-			Transport:        frameLog{net.Node(self), self, frames},
+			Self:       self,
+			Peers:      peers,
+			Interval:   interval,
+			Quorum:     2,
+			Fanout:     3,
+			MaxDelta:   6,
+			Epoch:      epoch,
+			JitterSeed: int64(500 + i),
+			Clock:      clk,
+			Transport:  frameLog{net.Node(self), self, frames},
 			Source: func() Digest {
 				if sick == self {
 					return Digest{Healthy: false, Worst: watchdog.StatusStuck, Abnormal: []string{"applier"}}

@@ -24,8 +24,7 @@ func TestSnapshotCarriesBreakerAndFlapState(t *testing.T) {
 	d.Register(watchdog.NewChecker("doomed", func(*watchdog.Context) error {
 		return errors.New("always broken")
 	}))
-	d.Register(watchdog.NewChecker("fine", func(*watchdog.Context) error { return nil }),
-		watchdog.Breaker(watchdog.BreakerConfig{}))
+	d.Register(watchdog.NewChecker("fine", func(*watchdog.Context) error { return nil }))
 	d.Factory().Context("doomed").MarkReady()
 	d.Factory().Context("fine").MarkReady()
 	o.Attach(d)
@@ -52,8 +51,9 @@ func TestSnapshotCarriesBreakerAndFlapState(t *testing.T) {
 	if doomed.Status != watchdog.StatusSkipped {
 		t.Fatalf("doomed status = %v, want skipped", doomed.Status)
 	}
-	if fine := snap.Checkers[1]; fine.Breaker != "" || fine.BreakerTrips != 0 {
-		t.Fatalf("breaker-disabled checker leaks state: %+v", fine)
+	// The healthy checker runs under the same breaker and never trips it.
+	if fine := snap.Checkers[1]; fine.Breaker != "closed" || fine.BreakerTrips != 0 {
+		t.Fatalf("healthy checker's breaker = %+v, want closed with no trips", fine)
 	}
 
 	rec := httptest.NewRecorder()
@@ -67,13 +67,11 @@ func TestSnapshotCarriesBreakerAndFlapState(t *testing.T) {
 		`watchdog_checker_breaker_state{checker="doomed"} 2`,
 		`watchdog_checker_breaker_trips_total{checker="doomed"} 1`,
 		`watchdog_checker_flaps_total{checker="doomed"} 0`,
+		`watchdog_checker_breaker_state{checker="fine"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
-	}
-	if strings.Contains(body, `watchdog_checker_breaker_state{checker="fine"}`) {
-		t.Error("breaker state exported for breaker-less checker")
 	}
 
 	// Skipped reports count as benign for /healthz ranking: a driver whose

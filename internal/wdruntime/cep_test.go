@@ -241,7 +241,7 @@ func TestCEPRulesFileFlag(t *testing.T) {
 	if err := fs.Parse([]string{"-wd-rules", path}); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := wdruntime.New(f.Options()...)
+	rt, err := wdruntime.New(wdruntime.FromConfig(f))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -4,113 +4,42 @@ import (
 	"flag"
 	"os"
 	"strings"
-	"time"
-
-	"gowatchdog/internal/watchdog"
 )
 
-// Flags holds the parsed values of the shared watchdog flag set. Every daemon
-// binds the same names, defaults, and help text through BindFlags, so `kvsd
-// -h`, `dfsd -h`, and `coordd -h` describe one uniform watchdog surface.
-type Flags struct {
-	Interval     time.Duration
-	Timeout      time.Duration
-	Breaker      int
-	Damp         time.Duration
-	HangBudget   int
-	DrainBudget  time.Duration
-	ObsAddr      string
-	Journal      string
-	Rules        string
-	SdNotify     bool
-	Episodes     string
-	MeshAddr     string
-	Peers        string
-	MeshInterval time.Duration
-	SuspectAfter time.Duration
-	Quorum       int
-	Fanout       int
-}
-
 // BindFlags registers the canonical -wd-interval/-wd-timeout/-wd-breaker/
-// -wd-damp/-wd-hang-budget/-wd-drain-budget/-obs-addr/-journal/-wd-rules
-// flags plus the mesh flag set (-wd-mesh-addr/-wd-peers/-wd-mesh-interval/-wd-suspect-after/
-// -wd-quorum/-wd-fanout) on fs and returns the struct their parsed values land in. Call
-// fs.Parse (or flag.Parse for the command line) before Options.
-func BindFlags(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
-	fs.DurationVar(&f.Interval, "wd-interval", time.Second, "watchdog check interval")
-	fs.DurationVar(&f.Timeout, "wd-timeout", 6*time.Second, "watchdog liveness timeout")
-	fs.IntVar(&f.Breaker, "wd-breaker", 0, "trip a checker's circuit breaker after this many consecutive failures (0 disables)")
-	fs.DurationVar(&f.Damp, "wd-damp", 0, "suppress duplicate watchdog alarms within this window (0 disables)")
-	fs.IntVar(&f.HangBudget, "wd-hang-budget", 0, "max leaked hung checker goroutines before checks degrade to skips (0 = unlimited)")
-	fs.DurationVar(&f.DrainBudget, "wd-drain-budget", 0, "how long shutdown waits for hung checker goroutines to be reaped (0 = 2x wd-timeout)")
-	fs.StringVar(&f.ObsAddr, "obs-addr", "", "observability listen address (/metrics, /healthz, /watchdog, pprof)")
-	fs.StringVar(&f.Journal, "journal", "", "file to stream the detection journal to as JSONL (wdreplay-compatible)")
-	fs.StringVar(&f.Rules, "wd-rules", "", "JSON temporal-rule file for the wdcep engine; non-empty enables rule evaluation over the detection stream")
-	fs.BoolVar(&f.SdNotify, "sd-notify", true, "feed the supervisor's watchdog (NOTIFY_SOCKET) while the intrinsic verdict is healthy; no-op when unsupervised")
-	fs.StringVar(&f.Episodes, "episodes", os.Getenv("WDSUPER_EPISODES"), "outage-episode ledger (JSONL) to surface on /watchdog; wdsuper exports it as WDSUPER_EPISODES")
-	fs.StringVar(&f.MeshAddr, "wd-mesh-addr", "", "mesh identity and listen address for the cluster health plane (required with -wd-peers)")
-	fs.StringVar(&f.Peers, "wd-peers", "", "comma-separated peer mesh addresses; non-empty joins the cluster health plane")
-	fs.DurationVar(&f.MeshInterval, "wd-mesh-interval", time.Second, "mesh gossip interval")
-	fs.DurationVar(&f.SuspectAfter, "wd-suspect-after", 0, "silence before a peer is suspected unreachable (0 = 4x mesh interval)")
-	fs.IntVar(&f.Quorum, "wd-quorum", 2, "observers that must corroborate a suspicion before it becomes a cluster verdict")
-	fs.IntVar(&f.Fanout, "wd-fanout", 0, "peers sampled per gossip round (0 = wdmesh default; below the cluster size dissemination is epidemic)")
-	return f
-}
-
-// Options translates the parsed flag values into runtime options; zero values
-// leave the corresponding defense or endpoint disabled.
-func (f *Flags) Options() []Option {
-	opts := []Option{
-		WithInterval(f.Interval),
-		WithTimeout(f.Timeout),
-	}
-	if f.Breaker > 0 {
-		opts = append(opts, WithBreaker(watchdog.BreakerConfig{Threshold: f.Breaker}))
-	}
-	if f.Damp > 0 {
-		opts = append(opts, WithAlarmDamping(f.Damp))
-	}
-	if f.HangBudget > 0 {
-		opts = append(opts, WithHangBudget(f.HangBudget))
-	}
-	if f.DrainBudget > 0 {
-		opts = append(opts, WithDrainBudget(f.DrainBudget))
-	}
-	if f.ObsAddr != "" {
-		opts = append(opts, WithObsAddr(f.ObsAddr))
-	}
-	if f.Journal != "" {
-		opts = append(opts, WithJournalPath(f.Journal))
-	}
-	if f.Rules != "" {
-		opts = append(opts, WithCEPRulesFile(f.Rules))
-	}
-	if f.SdNotify {
-		opts = append(opts, WithSdNotify())
-	}
-	if f.Episodes != "" {
-		opts = append(opts, WithEpisodePath(f.Episodes))
-	}
-	if f.Peers != "" {
-		var peers []string
-		for _, p := range strings.Split(f.Peers, ",") {
+// -wd-damp/-wd-hang-budget/-obs-addr/-journal/-wd-rules/-sd-notify/-episodes
+// flags plus the mesh flag set (-wd-mesh-addr/-wd-peers/-wd-mesh-interval/
+// -wd-quorum) on fs, each bound straight into a field of the returned Config.
+// Flag defaults are New's defaults, except -sd-notify (on) and -episodes
+// ($WDSUPER_EPISODES), which only a supervised daemon wants. Every daemon
+// binds the same names, defaults, and help text, so `kvsd -h`,
+// `dfsd -h`, and `coordd -h` describe one uniform watchdog surface. Call
+// fs.Parse (or flag.Parse for the command line), set the fields no flag
+// reaches (Factory, Registry, Recovery), then pass the Config to New with
+// FromConfig.
+func BindFlags(fs *flag.FlagSet) *Config {
+	cfg := defaults()
+	fs.DurationVar(&cfg.Interval, "wd-interval", cfg.Interval, "watchdog check interval")
+	fs.DurationVar(&cfg.Timeout, "wd-timeout", cfg.Timeout, "watchdog liveness timeout")
+	fs.IntVar(&cfg.Breaker.Threshold, "wd-breaker", cfg.Breaker.Threshold, "trip a checker's circuit breaker after this many consecutive failures (0 disables)")
+	fs.DurationVar(&cfg.DampWindow, "wd-damp", cfg.DampWindow, "suppress duplicate watchdog alarms within this window (0 disables)")
+	fs.IntVar(&cfg.HangBudget, "wd-hang-budget", cfg.HangBudget, "max leaked hung checker goroutines before checks degrade to skips (0 = unlimited)")
+	fs.StringVar(&cfg.ObsAddr, "obs-addr", cfg.ObsAddr, "observability listen address (/metrics, /healthz, /watchdog, pprof)")
+	fs.StringVar(&cfg.JournalPath, "journal", cfg.JournalPath, "file to stream the detection journal to as JSONL (wdreplay-compatible)")
+	fs.StringVar(&cfg.CEPRulesFile, "wd-rules", cfg.CEPRulesFile, "JSON temporal-rule file for the wdcep engine; non-empty enables rule evaluation over the detection stream")
+	fs.BoolVar(&cfg.SdNotify, "sd-notify", true, "feed the supervisor's watchdog (NOTIFY_SOCKET) while the intrinsic verdict is healthy; no-op when unsupervised")
+	fs.StringVar(&cfg.EpisodePath, "episodes", os.Getenv("WDSUPER_EPISODES"), "outage-episode ledger (JSONL) to surface on /watchdog; wdsuper exports it as WDSUPER_EPISODES")
+	fs.StringVar(&cfg.MeshAddr, "wd-mesh-addr", cfg.MeshAddr, "mesh identity and listen address for the cluster health plane (required with -wd-peers)")
+	fs.Func("wd-peers", "comma-separated peer mesh addresses; non-empty joins the cluster health plane", func(s string) error {
+		cfg.MeshPeers = nil
+		for _, p := range strings.Split(s, ",") {
 			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
+				cfg.MeshPeers = append(cfg.MeshPeers, p)
 			}
 		}
-		opts = append(opts,
-			WithMesh(f.MeshAddr, peers...),
-			WithMeshInterval(f.MeshInterval),
-			WithMeshQuorum(f.Quorum),
-		)
-		if f.SuspectAfter > 0 {
-			opts = append(opts, WithMeshSuspectAfter(f.SuspectAfter))
-		}
-		if f.Fanout > 0 {
-			opts = append(opts, WithMeshFanout(f.Fanout))
-		}
-	}
-	return opts
+		return nil
+	})
+	fs.DurationVar(&cfg.MeshInterval, "wd-mesh-interval", cfg.MeshInterval, "mesh gossip interval")
+	fs.IntVar(&cfg.MeshQuorum, "wd-quorum", cfg.MeshQuorum, "observers that must corroborate a suspicion before it becomes a cluster verdict")
+	return &cfg
 }

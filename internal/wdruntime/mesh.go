@@ -26,18 +26,16 @@ func (rt *Runtime) startMesh() error {
 		self = tcp.Addr() // ":0" resolves to the real bound identity
 	}
 	m, err := wdmesh.New(wdmesh.Config{
-		Self:         self,
-		Peers:        rt.cfg.MeshPeers,
-		Interval:     rt.cfg.MeshInterval,
-		SuspectAfter: rt.cfg.MeshSuspectAfter,
-		Quorum:       rt.cfg.MeshQuorum,
-		Fanout:       rt.cfg.MeshFanout,
-		JitterSeed:   rt.cfg.JitterSeed,
-		Clock:        rt.cfg.Clock,
-		Transport:    tr,
-		Source:       rt.meshDigest,
-		OnVerdict:    rt.onMeshVerdict,
-		Logf:         log.Printf,
+		Self:       self,
+		Peers:      rt.cfg.MeshPeers,
+		Interval:   rt.cfg.MeshInterval,
+		Quorum:     rt.cfg.MeshQuorum,
+		JitterSeed: rt.cfg.JitterSeed,
+		Clock:      rt.cfg.Clock,
+		Transport:  tr,
+		Source:     rt.meshDigest,
+		OnVerdict:  rt.onMeshVerdict,
+		Logf:       log.Printf,
 	})
 	if err != nil {
 		_ = tr.Close()

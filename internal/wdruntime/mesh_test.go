@@ -24,8 +24,8 @@ func meshRuntime(t *testing.T, net *wdmesh.MemNetwork, self string, peers []stri
 		wdruntime.WithTimeout(time.Second),
 		wdruntime.WithMesh(self, peers...),
 		wdruntime.WithMeshTransport(net.Node(self)),
-		wdruntime.WithMeshInterval(10*time.Millisecond),
-		wdruntime.WithMeshSuspectAfter(80*time.Millisecond),
+		// A full mesh suspects a peer after 4 silent intervals: 80ms.
+		wdruntime.WithMeshInterval(20*time.Millisecond),
 		wdruntime.WithJournalSink(io.Discard),
 	)
 	if err != nil {

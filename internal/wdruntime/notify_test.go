@@ -274,10 +274,10 @@ func TestSdNotifyFlagDefaults(t *testing.T) {
 	if !f.SdNotify {
 		t.Fatal("-sd-notify should default to true")
 	}
-	if f.Episodes != "/tmp/led.jsonl" {
-		t.Fatalf("-episodes default = %q, want WDSUPER_EPISODES value", f.Episodes)
+	if f.EpisodePath != "/tmp/led.jsonl" {
+		t.Fatalf("-episodes default = %q, want WDSUPER_EPISODES value", f.EpisodePath)
 	}
-	rt, err := wdruntime.New(f.Options()...)
+	rt, err := wdruntime.New(wdruntime.FromConfig(f))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -44,9 +44,9 @@ import (
 )
 
 // Config is the fully-resolved runtime configuration. Build one through New's
-// functional options (or BindFlags for CLI daemons); zero values of the
-// hardening fields leave the corresponding defense disabled, matching the
-// driver's own defaults.
+// functional options (or BindFlags for CLI daemons, passed to New with
+// FromConfig); zero values of the hardening fields leave the corresponding
+// defense disabled, matching the driver's own defaults.
 type Config struct {
 	// Interval is the driver check interval (default 1s).
 	Interval time.Duration
@@ -60,9 +60,6 @@ type Config struct {
 	HangBudget int
 	// JitterSeed seeds scheduling jitter (default 1, the driver default).
 	JitterSeed int64
-	// DrainBudget bounds how long Drain waits for hung checker goroutines to
-	// be reaped after scheduling stops (default 2×Timeout).
-	DrainBudget time.Duration
 
 	// ObsAddr, when non-empty, serves /metrics /healthz /watchdog /debug/pprof
 	// there on Start.
@@ -87,18 +84,13 @@ type Config struct {
 	// set; ":0" picks an ephemeral port (the bound address becomes the
 	// identity).
 	MeshAddr string
-	// MeshInterval is the gossip period (default 1s).
+	// MeshInterval is the gossip period (default 1s). The suspicion window
+	// follows from it and the cluster size; the per-round fanout is wdmesh's
+	// default (see wdmesh.Config).
 	MeshInterval time.Duration
-	// MeshSuspectAfter is how long without a fresh digest before a peer is
-	// suspected unreachable (0 = 4×MeshInterval).
-	MeshSuspectAfter time.Duration
 	// MeshQuorum is the corroboration threshold for cluster verdicts
 	// (default 2).
 	MeshQuorum int
-	// MeshFanout caps how many peers each gossip round samples (0 = the
-	// wdmesh default). Below the cluster size, dissemination becomes
-	// epidemic: O(N·K) messages per round instead of O(N²).
-	MeshFanout int
 	// MeshTransport overrides the TCP transport (campaigns and tests pass an
 	// in-process wdmesh.MemNetwork endpoint).
 	MeshTransport wdmesh.Transport
@@ -151,8 +143,24 @@ type Config struct {
 // carries; totals still count the full ledger.
 const maxEpisodesInSnapshot = 32
 
+// defaults is the Config New starts from and BindFlags binds its flags over,
+// so a flag's default and New's default are one value.
+func defaults() Config {
+	return Config{
+		Interval:     time.Second,
+		Timeout:      6 * time.Second,
+		JitterSeed:   1,
+		MeshInterval: time.Second,
+		MeshQuorum:   2,
+	}
+}
+
 // Option mutates a Config during New.
 type Option func(*Config)
+
+// FromConfig replaces the whole Config with cfg (a BindFlags result); apply
+// it first so later options layer on top.
+func FromConfig(cfg *Config) Option { return func(c *Config) { *c = *cfg } }
 
 // WithInterval sets the driver check interval.
 func WithInterval(d time.Duration) Option { return func(c *Config) { c.Interval = d } }
@@ -174,9 +182,6 @@ func WithHangBudget(n int) Option { return func(c *Config) { c.HangBudget = n } 
 // WithJitterSeed seeds scheduling (and breaker probe) jitter.
 func WithJitterSeed(seed int64) Option { return func(c *Config) { c.JitterSeed = seed } }
 
-// WithDrainBudget bounds how long Drain waits for hung goroutines.
-func WithDrainBudget(d time.Duration) Option { return func(c *Config) { c.DrainBudget = d } }
-
 // WithMesh enables the cluster health plane: addr is this node's mesh
 // identity (and TCP listen address), peers are the other nodes.
 func WithMesh(addr string, peers ...string) Option {
@@ -189,16 +194,8 @@ func WithMesh(addr string, peers ...string) Option {
 // WithMeshInterval sets the mesh gossip period.
 func WithMeshInterval(d time.Duration) Option { return func(c *Config) { c.MeshInterval = d } }
 
-// WithMeshSuspectAfter sets the silence window before a peer is suspected.
-func WithMeshSuspectAfter(d time.Duration) Option {
-	return func(c *Config) { c.MeshSuspectAfter = d }
-}
-
 // WithMeshQuorum sets the corroboration threshold for cluster verdicts.
 func WithMeshQuorum(k int) Option { return func(c *Config) { c.MeshQuorum = k } }
-
-// WithMeshFanout caps how many peers each gossip round samples.
-func WithMeshFanout(k int) Option { return func(c *Config) { c.MeshFanout = k } }
 
 // WithMeshTransport replaces the TCP transport with a caller-provided one.
 func WithMeshTransport(tr wdmesh.Transport) Option {
@@ -215,9 +212,6 @@ func WithCEPRulesFile(path string) Option { return func(c *Config) { c.CEPRulesF
 
 // WithCEPEvalEvery floors the time between rule-evaluation passes.
 func WithCEPEvalEvery(d time.Duration) Option { return func(c *Config) { c.CEPEvalEvery = d } }
-
-// WithEpisodePath surfaces the outage-episode ledger at path on /watchdog.
-func WithEpisodePath(path string) Option { return func(c *Config) { c.EpisodePath = path } }
 
 // WithSdNotify enables the sd_notify client on the $NOTIFY_SOCKET socket.
 func WithSdNotify() Option { return func(c *Config) { c.SdNotify = true } }
@@ -280,11 +274,7 @@ type Runtime struct {
 // journal sink. The driver is not started; register checkers first, then call
 // Start.
 func New(opts ...Option) (*Runtime, error) {
-	cfg := Config{
-		Interval:   time.Second,
-		Timeout:    6 * time.Second,
-		JitterSeed: 1,
-	}
+	cfg := defaults()
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -293,9 +283,6 @@ func New(opts ...Option) (*Runtime, error) {
 	}
 	if cfg.Timeout <= 0 {
 		return nil, fmt.Errorf("wdruntime: non-positive timeout %v", cfg.Timeout)
-	}
-	if cfg.DrainBudget <= 0 {
-		cfg.DrainBudget = 2 * cfg.Timeout
 	}
 	if len(cfg.MeshPeers) > 0 && cfg.MeshAddr == "" {
 		return nil, errors.New("wdruntime: mesh peers configured without a mesh identity (MeshAddr)")
@@ -519,9 +506,10 @@ func (rt *Runtime) feedLoop(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
-// Drain stops scheduling and waits — up to the drain budget — for hung
-// checker goroutines to be reaped, so a shutdown never races in-flight
-// checks. It is idempotent; the first call's verdict is returned to all.
+// Drain stops scheduling and waits — up to the drain budget of two liveness
+// timeouts — for hung checker goroutines to be reaped, so a shutdown never
+// races in-flight checks. It is idempotent; the first call's verdict is
+// returned to all.
 func (rt *Runtime) Drain() error {
 	rt.drainOnce.Do(func() {
 		rt.mu.Lock()
@@ -543,12 +531,13 @@ func (rt *Runtime) Drain() error {
 		// Hung checker goroutines outlive Stop by design (the reaper abandons
 		// them); poll in real time — even under a virtual clock the leaked
 		// goroutines run on the OS scheduler.
-		deadline := time.Now().Add(rt.cfg.DrainBudget)
+		budget := 2 * rt.cfg.Timeout
+		deadline := time.Now().Add(budget)
 		for rt.driver.LeakedHung() > 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		if n := rt.driver.LeakedHung(); n > 0 {
-			rt.drainErr = fmt.Errorf("wdruntime: %d hung checker goroutine(s) still leaked after the %v drain budget", n, rt.cfg.DrainBudget)
+			rt.drainErr = fmt.Errorf("wdruntime: %d hung checker goroutine(s) still leaked after the %v drain budget", n, budget)
 		}
 	})
 	return rt.drainErr

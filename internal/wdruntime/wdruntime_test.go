@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -43,8 +44,8 @@ func TestLifecycleLeavesNoGoroutines(t *testing.T) {
 	release := make(chan struct{})
 	rt, err := wdruntime.New(
 		wdruntime.WithInterval(5*time.Millisecond),
-		wdruntime.WithTimeout(25*time.Millisecond),
-		wdruntime.WithDrainBudget(5*time.Second),
+		// The drain budget is two timeouts: room to reap the released hang.
+		wdruntime.WithTimeout(100*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -90,8 +91,7 @@ func TestDrainReportsBlownBudget(t *testing.T) {
 
 	rt, err := wdruntime.New(
 		wdruntime.WithInterval(5*time.Millisecond),
-		wdruntime.WithTimeout(25*time.Millisecond),
-		wdruntime.WithDrainBudget(50*time.Millisecond),
+		wdruntime.WithTimeout(25*time.Millisecond), // drain budget 2×25ms = 50ms
 	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -291,54 +291,61 @@ func TestContextCancelStopsScheduling(t *testing.T) {
 	}
 }
 
-// TestBindFlagsParity pins the shared flag surface: names, defaults, help
-// text, and the translation into a resolved Config. Every daemon binds this
-// exact set, so this is the single place flag parity is enforced.
+// TestBindFlagsParity pins the shared flag surface: exactly these names, each
+// with its default and help text, and the parsed values landing in the Config
+// New resolves. Every daemon binds this exact set, so this is the single place
+// flag parity is enforced.
 func TestBindFlagsParity(t *testing.T) {
+	t.Setenv("WDSUPER_EPISODES", "")
 	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
 	f := wdruntime.BindFlags(fs)
 
-	wantDefaults := map[string]string{
-		"wd-interval":      "1s",
-		"wd-timeout":       "6s",
-		"wd-breaker":       "0",
-		"wd-damp":          "0s",
-		"wd-hang-budget":   "0",
-		"wd-drain-budget":  "0s",
-		"obs-addr":         "",
-		"journal":          "",
-		"wd-mesh-addr":     "",
-		"wd-peers":         "",
-		"wd-mesh-interval": "1s",
-		"wd-suspect-after": "0s",
-		"wd-quorum":        "2",
-		"sd-notify":        "true",
-		"episodes":         "",
+	type spec struct{ def, usage string }
+	want := map[string]spec{
+		"wd-interval":      {"1s", "watchdog check interval"},
+		"wd-timeout":       {"6s", "watchdog liveness timeout"},
+		"wd-breaker":       {"0", "trip a checker's circuit breaker after this many consecutive failures (0 disables)"},
+		"wd-damp":          {"0s", "suppress duplicate watchdog alarms within this window (0 disables)"},
+		"wd-hang-budget":   {"0", "max leaked hung checker goroutines before checks degrade to skips (0 = unlimited)"},
+		"obs-addr":         {"", "observability listen address (/metrics, /healthz, /watchdog, pprof)"},
+		"journal":          {"", "file to stream the detection journal to as JSONL (wdreplay-compatible)"},
+		"wd-rules":         {"", "JSON temporal-rule file for the wdcep engine; non-empty enables rule evaluation over the detection stream"},
+		"sd-notify":        {"true", "feed the supervisor's watchdog (NOTIFY_SOCKET) while the intrinsic verdict is healthy; no-op when unsupervised"},
+		"episodes":         {"", "outage-episode ledger (JSONL) to surface on /watchdog; wdsuper exports it as WDSUPER_EPISODES"},
+		"wd-mesh-addr":     {"", "mesh identity and listen address for the cluster health plane (required with -wd-peers)"},
+		"wd-peers":         {"", "comma-separated peer mesh addresses; non-empty joins the cluster health plane"},
+		"wd-mesh-interval": {"1s", "mesh gossip interval"},
+		"wd-quorum":        {"2", "observers that must corroborate a suspicion before it becomes a cluster verdict"},
 	}
-	for name, def := range wantDefaults {
-		fl := fs.Lookup(name)
-		if fl == nil {
-			t.Fatalf("flag -%s not bound", name)
+	seen := 0
+	fs.VisitAll(func(fl *flag.Flag) {
+		seen++
+		w, ok := want[fl.Name]
+		if !ok {
+			t.Errorf("unexpected shared flag -%s", fl.Name)
+			return
 		}
-		if fl.DefValue != def {
-			t.Errorf("flag -%s default = %q, want %q", name, fl.DefValue, def)
+		if fl.DefValue != w.def {
+			t.Errorf("flag -%s default = %q, want %q", fl.Name, fl.DefValue, w.def)
 		}
-		if fl.Usage == "" {
-			t.Errorf("flag -%s has no help text", name)
+		if fl.Usage != w.usage {
+			t.Errorf("flag -%s help = %q, want %q", fl.Name, fl.Usage, w.usage)
 		}
+	})
+	if seen != len(want) {
+		t.Errorf("%d shared flags bound, want %d", seen, len(want))
 	}
 
 	args := []string{
 		"-wd-interval", "250ms", "-wd-timeout", "2s",
 		"-wd-breaker", "4", "-wd-damp", "15s", "-wd-hang-budget", "3",
 		"-wd-mesh-addr", "127.0.0.1:0", "-wd-peers", "n2:1, n3:1,",
-		"-wd-mesh-interval", "100ms", "-wd-suspect-after", "800ms",
-		"-wd-quorum", "3",
+		"-wd-mesh-interval", "100ms", "-wd-quorum", "3",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	rt, err := wdruntime.New(f.Options()...)
+	rt, err := wdruntime.New(wdruntime.FromConfig(f))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -356,9 +363,6 @@ func TestBindFlagsParity(t *testing.T) {
 	if cfg.HangBudget != 3 {
 		t.Errorf("HangBudget = %d, want 3", cfg.HangBudget)
 	}
-	if cfg.DrainBudget != 4*time.Second {
-		t.Errorf("DrainBudget = %v, want 2×timeout = 4s", cfg.DrainBudget)
-	}
 	if cfg.JitterSeed != 1 {
 		t.Errorf("JitterSeed = %d, want the driver default 1", cfg.JitterSeed)
 	}
@@ -368,29 +372,27 @@ func TestBindFlagsParity(t *testing.T) {
 	if len(cfg.MeshPeers) != 2 || cfg.MeshPeers[0] != "n2:1" || cfg.MeshPeers[1] != "n3:1" {
 		t.Errorf("MeshPeers = %v, want [n2:1 n3:1] (trimmed, empties dropped)", cfg.MeshPeers)
 	}
-	if cfg.MeshInterval != 100*time.Millisecond || cfg.MeshSuspectAfter != 800*time.Millisecond {
-		t.Errorf("mesh timing = %v/%v, want 100ms/800ms", cfg.MeshInterval, cfg.MeshSuspectAfter)
+	if cfg.MeshInterval != 100*time.Millisecond {
+		t.Errorf("MeshInterval = %v, want 100ms", cfg.MeshInterval)
 	}
 	if cfg.MeshQuorum != 3 {
 		t.Errorf("MeshQuorum = %d, want 3", cfg.MeshQuorum)
 	}
 }
 
-// TestDrainBudgetFlag pins the -wd-drain-budget translation: explicit values
-// land in the Config, and the zero default still resolves to 2×timeout.
-func TestDrainBudgetFlag(t *testing.T) {
-	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
-	f := wdruntime.BindFlags(fs)
-	if err := fs.Parse([]string{"-wd-timeout", "2s", "-wd-drain-budget", "500ms"}); err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	rt, err := wdruntime.New(f.Options()...)
+// TestBindFlagsDefaultsMatchNew: an unparsed flag set resolves to exactly the
+// Config New builds with no options, apart from the two flag-only defaults
+// (-sd-notify on, -episodes from the environment).
+func TestBindFlagsDefaultsMatchNew(t *testing.T) {
+	t.Setenv("WDSUPER_EPISODES", "")
+	f := wdruntime.BindFlags(flag.NewFlagSet("daemon", flag.ContinueOnError))
+	f.SdNotify = false
+	bare, err := wdruntime.New()
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer rt.Close()
-	if got := rt.Config().DrainBudget; got != 500*time.Millisecond {
-		t.Fatalf("DrainBudget = %v, want the flag value 500ms", got)
+	if !reflect.DeepEqual(*f, bare.Config()) {
+		t.Fatalf("flag defaults %+v differ from New's %+v", *f, bare.Config())
 	}
 }
 
