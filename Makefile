@@ -9,7 +9,7 @@ GO ?= go
 # lock-light CEP event ring.
 RACE_PKGS := ./internal/watchdog ./internal/coord ./internal/clock ./internal/gauge ./internal/wdobs ./internal/recovery ./internal/campaign ./internal/campaign/meshscale ./internal/wdruntime ./internal/faultinject ./internal/wdmesh ./internal/wdmesh/wire ./internal/wdcep ./internal/supervise ./internal/sdnotify ./internal/kvs
 
-.PHONY: build test vet lint race kvs-commit-stress flake-census smoke mesh-smoke meshscale-smoke cep-smoke super-smoke gen-smoke bench-smoke ablation check golden
+.PHONY: build test vet lint race kvs-commit-stress fuzz-smoke flake-census smoke mesh-smoke meshscale-smoke cep-smoke super-smoke gen-smoke bench-smoke ablation check golden
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,14 @@ race:
 # pass of a race proves little.
 kvs-commit-stress:
 	$(GO) test -race -count=10 -run 'Commit|GroupCommit|Pipeline|Verify' ./internal/kvs
+
+# fuzz-smoke fuzzes the sstable reader for a short while beyond its
+# committed seed corpus (testdata/fuzz/FuzzReader, which plain `go test`
+# already replays): arbitrary bytes opened as a table must never panic or
+# exhaust memory, only return ErrCorrupt. A crasher it finds is written
+# under that directory, ready to commit as a regression seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/sstable
 
 # flake-census repeats the whole suite in shuffled order and the race
 # packages under the race detector, so an order- or timing-dependent test
@@ -139,4 +147,4 @@ ablation:
 golden:
 	$(GO) test ./internal/autowatchdog -run Golden -update
 
-check: build vet lint test race kvs-commit-stress smoke mesh-smoke meshscale-smoke cep-smoke super-smoke gen-smoke bench-smoke
+check: build vet lint test race kvs-commit-stress fuzz-smoke smoke mesh-smoke meshscale-smoke cep-smoke super-smoke gen-smoke bench-smoke

@@ -50,6 +50,21 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
+func BenchmarkOpen(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "o.sst")
+	if err := Write(path, benchEntries(4096)); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
+}
+
 func BenchmarkIterate(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "it.sst")
 	if err := Write(path, benchEntries(1000)); err != nil {

@@ -12,7 +12,10 @@
 //	                 4B LE CRC32C(data section) | 8 bytes magic
 //
 // The full (non-sparse) index keeps Get a binary search over in-memory keys
-// plus one seek. The data-section checksum lets the watchdog's partition
+// plus one read: an entry spans from its index offset to the next entry's
+// (or to the end of the data section), so Get and Iterator.Next fetch it
+// with one ReadAt, and Iterate, and so Merge, reads the data section once
+// per table pass. The data-section checksum lets the watchdog's partition
 // checker detect silent corruption without parsing entries.
 package sstable
 
@@ -22,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"sort"
 
@@ -43,62 +45,79 @@ var ErrUnsorted = errors.New("sstable: entries not in ascending key order")
 const footerLen = 8 + 8 + 4 + 8
 
 // Write creates an SSTable at path from entries, which must be in strictly
-// ascending key order (as produced by memtable.Entries).
+// ascending key order (as produced by memtable.Entries). The order check and
+// the exact size of every section come from one pass over entries before
+// the file is created, so an unsorted input leaves no file behind; a second
+// pass encodes the whole file into one buffer of that size.
 func Write(path string, entries []memtable.Entry) error {
-	var data bytes.Buffer
-	var index bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(buf *bytes.Buffer, v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
+	dataLen, indexLen := 0, uvarintLen(uint64(len(entries)))
+	for i, e := range entries {
+		if i > 0 && bytes.Compare(entries[i-1].Key, e.Key) >= 0 {
+			return fmt.Errorf("%w: %q then %q", ErrUnsorted, entries[i-1].Key, e.Key)
+		}
+		indexLen += uvarintLen(uint64(len(e.Key))) + len(e.Key) + uvarintLen(uint64(dataLen))
+		dataLen += entryLen(e)
 	}
 
-	var prev []byte
-	putUvarint(&index, uint64(len(entries)))
-	for i, e := range entries {
-		if i > 0 && bytes.Compare(prev, e.Key) >= 0 {
-			return fmt.Errorf("%w: %q then %q", ErrUnsorted, prev, e.Key)
-		}
-		prev = e.Key
-		off := uint64(data.Len())
-		putUvarint(&data, uint64(len(e.Key)))
-		data.Write(e.Key)
+	indexOff := len(magic) + dataLen
+	buf := make([]byte, indexOff+indexLen+footerLen)
+	copy(buf, magic)
+	data, index := buf[len(magic):indexOff], buf[indexOff:indexOff+indexLen]
+	d, x := 0, binary.PutUvarint(index, uint64(len(entries)))
+	for _, e := range entries {
+		x += binary.PutUvarint(index[x:], uint64(len(e.Key)))
+		x += copy(index[x:], e.Key)
+		x += binary.PutUvarint(index[x:], uint64(d))
+		d += binary.PutUvarint(data[d:], uint64(len(e.Key)))
+		d += copy(data[d:], e.Key)
 		if e.Tombstone {
-			data.WriteByte(1)
-		} else {
-			data.WriteByte(0)
-			putUvarint(&data, uint64(len(e.Value)))
-			data.Write(e.Value)
+			data[d] = 1
+			d++
+			continue
 		}
-		putUvarint(&index, uint64(len(e.Key)))
-		index.Write(e.Key)
-		putUvarint(&index, off)
+		data[d] = 0
+		d++
+		d += binary.PutUvarint(data[d:], uint64(len(e.Value)))
+		d += copy(data[d:], e.Value)
 	}
+	footer := buf[indexOff+indexLen:]
+	binary.LittleEndian.PutUint64(footer[0:8], uint64(indexOff))
+	binary.LittleEndian.PutUint64(footer[8:16], uint64(len(entries)))
+	binary.LittleEndian.PutUint32(footer[16:20], crc32.Checksum(data, castagnoli))
+	copy(footer[20:], magic)
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if _, err := f.Write(magic); err != nil {
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
 		return err
 	}
-	if _, err := f.Write(data.Bytes()); err != nil {
+	if err := f.Sync(); err != nil {
+		f.Close()
 		return err
 	}
-	indexOff := int64(len(magic) + data.Len())
-	if _, err := f.Write(index.Bytes()); err != nil {
-		return err
+	return f.Close()
+}
+
+// uvarintLen is the number of bytes binary.PutUvarint writes for v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
 	}
-	footer := make([]byte, footerLen)
-	binary.LittleEndian.PutUint64(footer[0:8], uint64(indexOff))
-	binary.LittleEndian.PutUint64(footer[8:16], uint64(len(entries)))
-	binary.LittleEndian.PutUint32(footer[16:20], crc32.Checksum(data.Bytes(), castagnoli))
-	copy(footer[20:], magic)
-	if _, err := f.Write(footer); err != nil {
-		return err
+	return n
+}
+
+// entryLen is the encoded size of e in the data section.
+func entryLen(e memtable.Entry) int {
+	n := uvarintLen(uint64(len(e.Key))) + len(e.Key) + 1
+	if !e.Tombstone {
+		n += uvarintLen(uint64(len(e.Value))) + len(e.Value)
 	}
-	return f.Sync()
+	return n
 }
 
 // indexEntry locates one key in the data section.
@@ -118,79 +137,84 @@ type Reader struct {
 	count   int
 }
 
-// Open validates the table structure and loads the index.
-func Open(path string) (*Reader, error) {
+// Open validates the table structure and loads the index. Index keys are
+// slices of the one buffer the index section is read into.
+func Open(path string) (_ *Reader, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if st.Size() < int64(len(magic)+footerLen) {
-		f.Close()
+	size := st.Size()
+	if size < int64(len(magic)+footerLen) {
 		return nil, fmt.Errorf("%w: file too small", ErrCorrupt)
 	}
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, head); err != nil || !bytes.Equal(head, magic) {
-		f.Close()
+	head := make([]byte, len(magic)+footerLen)
+	if _, err := f.ReadAt(head[:len(magic)], 0); err != nil || !bytes.Equal(head[:len(magic)], magic) {
 		return nil, fmt.Errorf("%w: bad header magic", ErrCorrupt)
 	}
-	footer := make([]byte, footerLen)
-	if _, err := f.ReadAt(footer, st.Size()-footerLen); err != nil {
-		f.Close()
+	footer := head[len(magic):]
+	if _, err := f.ReadAt(footer, size-footerLen); err != nil {
 		return nil, err
 	}
 	if !bytes.Equal(footer[20:], magic) {
-		f.Close()
 		return nil, fmt.Errorf("%w: bad footer magic", ErrCorrupt)
 	}
-	indexOff := int64(binary.LittleEndian.Uint64(footer[0:8]))
-	count := int(binary.LittleEndian.Uint64(footer[8:16]))
+	indexOff := binary.LittleEndian.Uint64(footer[0:8])
+	count := binary.LittleEndian.Uint64(footer[8:16])
 	crc := binary.LittleEndian.Uint32(footer[16:20])
-	if indexOff < int64(len(magic)) || indexOff > st.Size()-footerLen {
-		f.Close()
+	if indexOff < uint64(len(magic)) || indexOff > uint64(size-footerLen) {
 		return nil, fmt.Errorf("%w: index offset out of range", ErrCorrupt)
 	}
-	indexBytes := make([]byte, st.Size()-footerLen-indexOff)
-	if _, err := f.ReadAt(indexBytes, indexOff); err != nil {
-		f.Close()
+	indexBytes := make([]byte, uint64(size-footerLen)-indexOff)
+	if _, err := f.ReadAt(indexBytes, int64(indexOff)); err != nil {
 		return nil, err
+	}
+	n, w := binary.Uvarint(indexBytes)
+	if w <= 0 || n != count {
+		return nil, fmt.Errorf("%w: index count mismatch", ErrCorrupt)
+	}
+	// Every index entry takes at least two bytes (a key length and an
+	// offset), so a count the section cannot hold is corrupt; checking it
+	// here keeps a forged count from sizing the allocation below.
+	if count > uint64(len(indexBytes))/2 {
+		return nil, fmt.Errorf("%w: index count %d exceeds index section", ErrCorrupt, count)
 	}
 	r := &Reader{
 		path:    path,
 		f:       f,
+		index:   make([]indexEntry, count),
 		dataOff: int64(len(magic)),
-		dataLen: indexOff - int64(len(magic)),
+		dataLen: int64(indexOff) - int64(len(magic)),
 		crc:     crc,
-		count:   count,
+		count:   int(count),
 	}
-	buf := bytes.NewReader(indexBytes)
-	n, err := binary.ReadUvarint(buf)
-	if err != nil || int(n) != count {
-		f.Close()
-		return nil, fmt.Errorf("%w: index count mismatch", ErrCorrupt)
-	}
-	r.index = make([]indexEntry, 0, count)
-	for i := 0; i < count; i++ {
-		klen, err := binary.ReadUvarint(buf)
-		if err != nil {
-			f.Close()
+	b := indexBytes[w:]
+	for i := range r.index {
+		klen, w := binary.Uvarint(b)
+		if w <= 0 {
 			return nil, fmt.Errorf("%w: index entry %d", ErrCorrupt, i)
 		}
-		key := make([]byte, klen)
-		if _, err := io.ReadFull(buf, key); err != nil {
-			f.Close()
+		b = b[w:]
+		if klen > uint64(len(b)) {
 			return nil, fmt.Errorf("%w: index key %d", ErrCorrupt, i)
 		}
-		off, err := binary.ReadUvarint(buf)
-		if err != nil {
-			f.Close()
+		key := b[:klen:klen]
+		b = b[klen:]
+		off, w := binary.Uvarint(b)
+		if w <= 0 {
 			return nil, fmt.Errorf("%w: index offset %d", ErrCorrupt, i)
 		}
-		r.index = append(r.index, indexEntry{key: key, off: off})
+		b = b[w:]
+		r.index[i] = indexEntry{key: key, off: off}
 	}
 	return r, nil
 }
@@ -213,7 +237,7 @@ func (r *Reader) Get(key []byte) (value []byte, tombstone, ok bool, err error) {
 	if i >= len(r.index) || !bytes.Equal(r.index[i].key, key) {
 		return nil, false, false, nil
 	}
-	e, err := r.readEntry(int64(r.index[i].off))
+	e, err := r.readEntry(i)
 	if err != nil {
 		return nil, false, false, err
 	}
@@ -223,53 +247,69 @@ func (r *Reader) Get(key []byte) (value []byte, tombstone, ok bool, err error) {
 	return e.Value, false, true, nil
 }
 
-// readEntry decodes one entry at the given data-section offset.
-func (r *Reader) readEntry(off int64) (memtable.Entry, error) {
-	sec := io.NewSectionReader(r.f, r.dataOff+off, r.dataLen-off)
-	br := &byteReaderAt{r: sec}
-	klen, err := binary.ReadUvarint(br)
+// span returns the data-section extent of entry i: from its offset to the
+// next entry's, or to the end of the data section for the last entry.
+func (r *Reader) span(i int) (off, end uint64, err error) {
+	off, end = r.index[i].off, uint64(r.dataLen)
+	if i+1 < len(r.index) {
+		end = r.index[i+1].off
+	}
+	if off >= end || end > uint64(r.dataLen) {
+		return 0, 0, fmt.Errorf("%w: entry %d spans [%d, %d) of %d data bytes", ErrCorrupt, i, off, end, r.dataLen)
+	}
+	return off, end, nil
+}
+
+// readEntry reads entry i with one ReadAt into one buffer that its key and
+// value share.
+func (r *Reader) readEntry(i int) (memtable.Entry, error) {
+	off, end, err := r.span(i)
 	if err != nil {
-		return memtable.Entry{}, fmt.Errorf("%w: entry key length", ErrCorrupt)
+		return memtable.Entry{}, err
 	}
-	key := make([]byte, klen)
-	if _, err := io.ReadFull(br, key); err != nil {
-		return memtable.Entry{}, fmt.Errorf("%w: entry key", ErrCorrupt)
+	buf := make([]byte, end-off)
+	if _, err := r.f.ReadAt(buf, r.dataOff+int64(off)); err != nil {
+		return memtable.Entry{}, fmt.Errorf("sstable: read entry %d of %s: %w", i, r.path, err)
 	}
-	flag, err := br.ReadByte()
-	if err != nil {
-		return memtable.Entry{}, fmt.Errorf("%w: entry flag", ErrCorrupt)
+	return r.decodeEntry(i, buf)
+}
+
+// decodeEntry decodes entry i from b, which holds exactly its span: an
+// entry that does not fill its span is corrupt. The returned key and value
+// alias b.
+func (r *Reader) decodeEntry(i int, b []byte) (memtable.Entry, error) {
+	klen, n := binary.Uvarint(b)
+	if n <= 0 {
+		return memtable.Entry{}, fmt.Errorf("%w: entry %d key length", ErrCorrupt, i)
 	}
-	e := memtable.Entry{Key: key}
+	b = b[n:]
+	if klen >= uint64(len(b)) { // the flag byte follows the key
+		return memtable.Entry{}, fmt.Errorf("%w: entry %d key", ErrCorrupt, i)
+	}
+	e := memtable.Entry{Key: b[:klen:klen]}
+	if !bytes.Equal(e.Key, r.index[i].key) {
+		return memtable.Entry{}, fmt.Errorf("%w: entry %d key differs from its index key", ErrCorrupt, i)
+	}
+	flag := b[klen]
+	b = b[klen+1:]
 	if flag == 1 {
+		if len(b) != 0 {
+			return memtable.Entry{}, fmt.Errorf("%w: entry %d tombstone", ErrCorrupt, i)
+		}
 		e.Tombstone = true
 		return e, nil
 	}
-	vlen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return memtable.Entry{}, fmt.Errorf("%w: entry value length", ErrCorrupt)
+	vlen, n := binary.Uvarint(b)
+	if n <= 0 {
+		return memtable.Entry{}, fmt.Errorf("%w: entry %d value length", ErrCorrupt, i)
 	}
-	val := make([]byte, vlen)
-	if _, err := io.ReadFull(br, val); err != nil {
-		return memtable.Entry{}, fmt.Errorf("%w: entry value", ErrCorrupt)
+	b = b[n:]
+	if vlen != uint64(len(b)) {
+		return memtable.Entry{}, fmt.Errorf("%w: entry %d value", ErrCorrupt, i)
 	}
-	e.Value = val
+	e.Value = b
 	return e, nil
 }
-
-// byteReaderAt adapts a SectionReader to io.ByteReader + io.Reader.
-type byteReaderAt struct {
-	r   *io.SectionReader
-	one [1]byte
-}
-
-func (b *byteReaderAt) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
-}
-
-func (b *byteReaderAt) Read(p []byte) (int, error) { return b.r.Read(p) }
 
 // Iterator walks a table's entries in ascending key order from a Seek
 // position; the bounded scan merge advances one entry at a time so it can
@@ -297,7 +337,7 @@ func (it *Iterator) Next() (e memtable.Entry, ok bool, err error) {
 	if it.pos >= len(it.r.index) {
 		return memtable.Entry{}, false, nil
 	}
-	e, err = it.r.readEntry(int64(it.r.index[it.pos].off))
+	e, err = it.r.readEntry(it.pos)
 	if err != nil {
 		return memtable.Entry{}, false, err
 	}
@@ -305,10 +345,20 @@ func (it *Iterator) Next() (e memtable.Entry, ok bool, err error) {
 	return e, true, nil
 }
 
-// Iterate calls fn on every entry in key order; returning false stops.
+// Iterate calls fn on every entry in key order; returning false stops. It
+// reads the data section once and decodes every entry from that buffer,
+// which the entries passed to fn alias.
 func (r *Reader) Iterate(fn func(e memtable.Entry) bool) error {
-	for _, ie := range r.index {
-		e, err := r.readEntry(int64(ie.off))
+	data, err := r.readData()
+	if err != nil {
+		return err
+	}
+	for i := range r.index {
+		off, end, err := r.span(i)
+		if err != nil {
+			return err
+		}
+		e, err := r.decodeEntry(i, data[off:end:end])
 		if err != nil {
 			return err
 		}
@@ -319,11 +369,20 @@ func (r *Reader) Iterate(fn func(e memtable.Entry) bool) error {
 	return nil
 }
 
+// readData reads the whole data section.
+func (r *Reader) readData() ([]byte, error) {
+	data := make([]byte, r.dataLen)
+	if _, err := r.f.ReadAt(data, r.dataOff); err != nil {
+		return nil, fmt.Errorf("sstable: read data section of %s: %w", r.path, err)
+	}
+	return data, nil
+}
+
 // VerifyChecksum re-reads the data section and validates it against the
 // footer CRC — the fsck-style partition check the watchdog runs (§2).
 func (r *Reader) VerifyChecksum() error {
-	data := make([]byte, r.dataLen)
-	if _, err := r.f.ReadAt(data, r.dataOff); err != nil {
+	data, err := r.readData()
+	if err != nil {
 		return err
 	}
 	if crc32.Checksum(data, castagnoli) != r.crc {

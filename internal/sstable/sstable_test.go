@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -87,6 +88,9 @@ func TestWriteRejectsUnsorted(t *testing.T) {
 	if !errors.Is(err, ErrUnsorted) {
 		t.Fatalf("duplicate keys: err = %v", err)
 	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("rejected input left a file: %v", err)
+	}
 }
 
 func TestIterateOrderAndEarlyStop(t *testing.T) {
@@ -138,6 +142,64 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	os.WriteFile(junk, bytes.Repeat([]byte("J"), 100), 0o644)
 	if _, err := Open(junk); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("junk: %v", err)
+	}
+}
+
+// TestOpenRejectsForgedCount: a footer and index that agree on 2^40
+// entries in a 42-byte file are rejected before the count sizes any
+// allocation (it used to end the process with a fatal out-of-memory).
+func TestOpenRejectsForgedCount(t *testing.T) {
+	const count = 1 << 40
+	table := append([]byte(nil), magic...)
+	table = binary.AppendUvarint(table, count)
+	table = binary.LittleEndian.AppendUint64(table, uint64(len(magic)))
+	table = binary.LittleEndian.AppendUint64(table, count)
+	table = binary.LittleEndian.AppendUint32(table, 0)
+	table = append(table, magic...)
+	path := filepath.Join(t.TempDir(), "forged.sst")
+	if err := os.WriteFile(path, table, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCorruptEntryIsErrCorrupt: with the index intact, an entry whose
+// bytes lie about their length or key makes Get, Next and Iterate return
+// ErrCorrupt. A key length of 2^40 used to size an allocation and end the
+// process with a fatal out-of-memory.
+func TestCorruptEntryIsErrCorrupt(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		corrupt func(data []byte)
+	}{
+		{"key length 2^40", func(data []byte) {
+			copy(data[len(magic):], []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20})
+		}},
+		{"key differs from index", func(data []byte) { data[len(magic)+1] ^= 0x01 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := writeTable(t, "c.sst", []memtable.Entry{entry("key", "precious")})
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r := openTable(t, path)
+			if _, _, _, err := r.Get([]byte("key")); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Get = %v, want ErrCorrupt", err)
+			}
+			if _, _, err := r.Seek(nil).Next(); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Next = %v, want ErrCorrupt", err)
+			}
+			if err := r.Iterate(func(memtable.Entry) bool { return true }); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Iterate = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
