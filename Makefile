@@ -22,8 +22,12 @@ vet:
 
 # lint runs the watchdog-hygiene analyzers (cmd/wdlint) over the module.
 # Info-level findings are reported but do not fail; warn and error do.
+# It then fails if gofmt would reformat any Go file in the tree,
+# generator output included.
 lint:
 	$(GO) run ./cmd/wdlint ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -36,13 +40,16 @@ race:
 kvs-commit-stress:
 	$(GO) test -race -count=10 -run 'Commit|GroupCommit|Pipeline|Verify' ./internal/kvs
 
-# fuzz-smoke fuzzes the sstable reader for a short while beyond its
-# committed seed corpus (testdata/fuzz/FuzzReader, which plain `go test`
-# already replays): arbitrary bytes opened as a table must never panic or
-# exhaust memory, only return ErrCorrupt. A crasher it finds is written
-# under that directory, ready to commit as a regression seed.
+# fuzz-smoke runs each fuzz target for a short while beyond its committed
+# seed corpus (testdata/fuzz/<target>, which plain `go test` already
+# replays). FuzzReader: arbitrary bytes opened as an sstable must never
+# panic or exhaust memory, only return ErrCorrupt. FuzzTable: any sequence
+# of memtable operations must agree with a sorted-map model. A failing
+# input is written under the target's directory, ready to commit as a
+# regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/sstable
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/memtable
 
 # flake-census repeats the whole suite in shuffled order and the race
 # packages under the race detector, so an order- or timing-dependent test

@@ -47,7 +47,7 @@ func main() {
 
 	// 2. A mimic checker: re-run the vulnerable operation with the payload
 	//    the hook captured, wrapped in watchdog.Op for pinpointing.
-	site := watchdog.Site{Function: "main.consume", Op: "uploader.upload", File: "main.go", Line: 70}
+	site := watchdog.Site{Function: "main.consume", Op: "uploader.upload", File: "main.go", Line: 66}
 	driver.Register(watchdog.NewChecker("uploader", func(ctx *watchdog.Context) error {
 		payload := ctx.GetBytes("payload")
 		return watchdog.Op(ctx, site, func() error {

@@ -45,11 +45,11 @@ func (s *Server) Run(conn net.Conn) error {
 				return err
 			}
 			wdhooks.Capture("sample.Server_Run",
-			//wd:vulnerable
-			map[string]any{
+				//wd:vulnerable
+				map[string]any{
 
-			// persist is reached along Run's call chain; its writes count once each.
-			"op": "s.compress", "arg0": batch})
+					// persist is reached along Run's call chain; its writes count once each.
+					"op": "s.compress", "arg0": batch})
 			s.compress(batch)
 		}
 	}
@@ -66,8 +66,8 @@ func (s *Server) persist(batch []byte) error {
 	}
 	for i := 0; i < 3; i++ {
 		wdhooks.Capture("sample.Server_Run", map[string]any{
-		// repeated write: reduced to one
-		"op": "f.Write", "arg0": batch})
+			// repeated write: reduced to one
+			"op": "f.Write", "arg0": batch})
 		if _, err := f.Write(batch); err != nil {
 			f.Close()
 			return err

@@ -1,8 +1,10 @@
 package autowatchdog
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/format"
 	"go/printer"
 	"go/token"
 	"os"
@@ -64,17 +66,19 @@ func (a *Analysis) Instrument(hooksImport string) ([]string, error) {
 				addNamedImport(file, "wdhooks", hooksImport)
 			}
 		}
-		outPath := filepath.Join(a.cfg.OutDir, name)
-		f, err := os.Create(outPath)
-		if err != nil {
-			return written, err
-		}
+		// The rewritten AST keeps the original positions, so the printer
+		// misindents inserted hooks; a gofmt pass over its output fixes that.
+		var buf bytes.Buffer
 		cfg := printer.Config{Mode: printer.UseSpaces | printer.TabIndent, Tabwidth: 8}
-		if err := cfg.Fprint(f, a.fset, file); err != nil {
-			f.Close()
+		if err := cfg.Fprint(&buf, a.fset, file); err != nil {
 			return written, err
 		}
-		if err := f.Close(); err != nil {
+		src, err := format.Source(buf.Bytes())
+		if err != nil {
+			return written, fmt.Errorf("autowatchdog: format %s: %w", name, err)
+		}
+		outPath := filepath.Join(a.cfg.OutDir, name)
+		if err := os.WriteFile(outPath, src, 0o644); err != nil {
 			return written, err
 		}
 		written = append(written, outPath)

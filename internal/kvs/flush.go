@@ -212,7 +212,7 @@ func (s *Store) RepairPartition(i int) (int, error) {
 	var kept, corrupt []*sstable.Reader
 	for _, t := range p.tables.tables {
 		if err := t.VerifyChecksum(); err != nil {
-			if renameErr := os.Rename(t.Path(), t.Path()+".corrupt"); renameErr != nil {
+			if renameErr := quarantine(t.Path()); renameErr != nil {
 				return len(corrupt), fmt.Errorf("repair p%d: %w", p.id, renameErr)
 			}
 			corrupt = append(corrupt, t)

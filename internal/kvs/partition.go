@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -143,23 +144,26 @@ func (p *partition) reapTables(force bool) {
 
 // newPartition opens or recovers a partition rooted at dir (or in memory
 // when dir is empty).
-func newPartition(id int, lo, hi []byte, dir string) (*partition, error) {
+//
+// It returns how many corrupt tables it quarantined on the way.
+func newPartition(id int, lo, hi []byte, dir string) (*partition, int, error) {
 	p := &partition{id: id, lo: lo, hi: hi, dir: dir, mem: memtable.New(), nextID: 1,
 		tables: &tableVersion{}}
 	p.gcOpen = &commitBatch{p: p}
 	p.gcCond = sync.NewCond(&p.gcCommitMu)
 	if dir == "" {
-		return p, nil
+		return p, 0, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("kvs: partition %d: %w", id, err)
+		return nil, 0, fmt.Errorf("kvs: partition %d: %w", id, err)
 	}
-	if err := p.loadTables(); err != nil {
-		return nil, err
+	quarantined, err := p.loadTables()
+	if err != nil {
+		return nil, 0, err
 	}
 	log, err := wal.Open(filepath.Join(dir, "wal.log"))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p.log = log
 	// Recover unflushed mutations.
@@ -172,16 +176,19 @@ func newPartition(id int, lo, hi []byte, dir string) (*partition, error) {
 		return nil
 	}); err != nil {
 		log.Close()
-		return nil, fmt.Errorf("kvs: partition %d replay: %w", id, err)
+		return nil, 0, fmt.Errorf("kvs: partition %d replay: %w", id, err)
 	}
-	return p, nil
+	return p, quarantined, nil
 }
 
-// loadTables opens existing SSTables newest-first.
-func (p *partition) loadTables() error {
+// loadTables opens existing SSTables newest-first. A table that fails to
+// open as corrupt is quarantined rather than failing the partition, so one
+// corrupt file costs only the keys it alone held; it returns how many it
+// quarantined. Any other open error fails the partition.
+func (p *partition) loadTables() (int, error) {
 	entries, err := os.ReadDir(p.dir)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	type numbered struct {
 		id   int
@@ -201,21 +208,36 @@ func (p *partition) loadTables() error {
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].id > found[j].id }) // newest first
 	var tables []*sstable.Reader
+	quarantined := 0
 	for _, f := range found {
+		if f.id >= p.nextID {
+			p.nextID = f.id + 1
+		}
 		r, err := sstable.Open(f.path)
+		if errors.Is(err, sstable.ErrCorrupt) {
+			err = quarantine(f.path)
+			if err == nil {
+				quarantined++
+				continue
+			}
+		}
 		if err != nil {
 			for _, t := range tables {
 				t.Close()
 			}
-			return fmt.Errorf("kvs: open %s: %w", f.path, err)
+			return quarantined, fmt.Errorf("kvs: open %s: %w", f.path, err)
 		}
 		tables = append(tables, r)
-		if f.id >= p.nextID {
-			p.nextID = f.id + 1
-		}
 	}
 	p.tables = &tableVersion{tables: tables}
-	return nil
+	return quarantined, nil
+}
+
+// quarantine takes the table file at path out of the read path for good by
+// renaming it with a .corrupt suffix, which loadTables skips; the file stays
+// for inspection.
+func quarantine(path string) error {
+	return os.Rename(path, path+".corrupt")
 }
 
 // applyToMem applies rec to the memtable without logging.
@@ -369,15 +391,12 @@ func (p *partition) get(key []byte) ([]byte, bool, error) {
 type scanCursor struct {
 	cur memtable.Entry
 	ok  bool
-	// next advances past the current entry; start is the next seek key.
-	next func(start []byte) (memtable.Entry, bool, error)
+	// next returns the entry after cur.
+	next func() (memtable.Entry, bool, error)
 }
 
 func (c *scanCursor) advance() error {
-	// Seek strictly past the current key: its successor in byte order is
-	// the key with a zero byte appended.
-	seek := append(append([]byte(nil), c.cur.Key...), 0)
-	e, ok, err := c.next(seek)
+	e, ok, err := c.next()
 	c.cur, c.ok = e, ok
 	return err
 }
@@ -394,26 +413,23 @@ func (p *partition) scan(start, end []byte, limit int) ([]memtable.Entry, error)
 	tables := version.tables
 
 	// Cursors ordered newest first (memtable, then tables newest-to-oldest):
-	// on key ties the lowest cursor index wins.
+	// on key ties the lowest cursor index wins. The memtable cursor steps
+	// from its current key's node to the successor, one read lock per step.
 	curs := make([]*scanCursor, 0, len(tables)+1)
-	memNext := func(seek []byte) (memtable.Entry, bool, error) {
-		e, ok := mem.Ceil(seek)
+	mc := &scanCursor{}
+	mc.cur, mc.ok = mem.Ceil(start)
+	mc.next = func() (memtable.Entry, bool, error) {
+		e, ok := mem.After(mc.cur.Key)
 		return e, ok, nil
 	}
-	curs = append(curs, &scanCursor{next: memNext})
+	curs = append(curs, mc)
 	for _, t := range tables {
 		it := t.Seek(start)
-		curs = append(curs, &scanCursor{next: func(_ []byte) (memtable.Entry, bool, error) {
-			return it.Next()
-		}})
-	}
-	// Prime every cursor at the range start.
-	for _, c := range curs {
-		e, ok, err := c.next(start)
-		if err != nil {
+		c := &scanCursor{next: it.Next}
+		if err := c.advance(); err != nil {
 			return nil, err
 		}
-		c.cur, c.ok = e, ok
+		curs = append(curs, c)
 	}
 
 	var out []memtable.Entry

@@ -183,11 +183,12 @@ func Open(cfg Config) (*Store, error) {
 		if !cfg.InMemory {
 			dir = filepath.Join(cfg.Dir, fmt.Sprintf("p%03d", i))
 		}
-		p, err := newPartition(i, lo, hi, dir)
+		p, quarantined, err := newPartition(i, lo, hi, dir)
 		if err != nil {
 			s.closePartitions()
 			return nil, err
 		}
+		s.mets.Counter("kvs.repairs").Add(int64(quarantined))
 		s.parts = append(s.parts, p)
 	}
 	if cfg.ReplicaAddr != "" {

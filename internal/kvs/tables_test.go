@@ -93,3 +93,75 @@ func TestCompactionKeepsTablesOpenForReaders(t *testing.T) {
 		t.Fatalf("live table: %v", err)
 	}
 }
+
+// TestOpenQuarantinesCorruptTable checks that one table whose footer no
+// longer parses does not keep the store from opening: Open renames it with
+// the .corrupt suffix RepairPartition uses, counts it in kvs.repairs, and
+// serves every key held outside that table.
+func TestOpenQuarantinesCorruptTable(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, Partitions: 1, FlushThresholdBytes: 1 << 30}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(prefix string) {
+		for i := 0; i < 10; i++ {
+			if err := s.Set([]byte(fmt.Sprintf("%s%d", prefix, i)), []byte(prefix)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	set("old")
+	if err := s.FlushPartition(0, true); err != nil {
+		t.Fatal(err)
+	}
+	set("new")
+	if err := s.FlushPartition(0, true); err != nil {
+		t.Fatal(err)
+	}
+	set("wal")
+	paths := s.TablePaths(0) // newest first
+	if len(paths) != 2 {
+		t.Fatalf("tables = %v, want 2", paths)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := paths[1]
+	b, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0xFF // the footer's last byte
+	if err := os.WriteFile(bad, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Metrics = nil
+	s, err = Open(cfg)
+	if err != nil {
+		t.Fatalf("Open with one corrupt table: %v", err)
+	}
+	defer s.Close()
+	if n := s.Metrics().Counter("kvs.repairs").Value(); n != 1 {
+		t.Fatalf("kvs.repairs = %d, want 1", n)
+	}
+	if _, err := os.Stat(bad + ".corrupt"); err != nil {
+		t.Fatalf("quarantined table: %v", err)
+	}
+	for _, p := range s.TablePaths(0) {
+		if p == bad {
+			t.Fatalf("corrupt table %s still on the read path", bad)
+		}
+	}
+	for _, prefix := range []string{"new", "wal"} {
+		for i := 0; i < 10; i++ {
+			k := fmt.Sprintf("%s%d", prefix, i)
+			v, ok, err := s.Get([]byte(k))
+			if err != nil || !ok || string(v) != prefix {
+				t.Fatalf("Get(%s) = %q, %v, %v", k, v, ok, err)
+			}
+		}
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -222,13 +223,17 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// String renders a compact one-line summary.
+// String renders a compact one-line summary. The site is printed once: an
+// error that already leads with it, as an *OpError's text does, is not
+// followed by it again.
 func (r Report) String() string {
 	out := fmt.Sprintf("[%s] %s", r.Checker, r.Status)
+	var msg string
 	if r.Err != nil {
-		out += ": " + r.Err.Error()
+		msg = r.Err.Error()
+		out += ": " + msg
 	}
-	if !r.Site.IsZero() {
+	if !r.Site.IsZero() && !strings.HasPrefix(msg, r.Site.String()) {
 		out += " at " + r.Site.String()
 	}
 	return out

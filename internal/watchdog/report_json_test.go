@@ -120,3 +120,29 @@ func TestAlarmJSONRoundTrip(t *testing.T) {
 		t.Errorf("alarm report lost: %+v", back.Report)
 	}
 }
+
+// TestReportStringPrintsSiteOnce checks that a report whose error already
+// names the site, as an *OpError's does, prints it once, and that a report
+// whose error does not still gets " at <site>".
+func TestReportStringPrintsSiteOnce(t *testing.T) {
+	site := Site{Function: "main.consume", Op: "uploader.upload", File: "main.go", Line: 66}
+	cause := errors.New("disk full")
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"op error", &OpError{Site: site, Err: cause},
+			"[uploader] error: main.consume/uploader.upload@main.go:66: disk full"},
+		{"decoded op error", errors.New((&OpError{Site: site, Err: cause}).Error()),
+			"[uploader] error: main.consume/uploader.upload@main.go:66: disk full"},
+		{"plain error", cause,
+			"[uploader] error: disk full at main.consume/uploader.upload@main.go:66"},
+		{"no error", nil, "[uploader] error at main.consume/uploader.upload@main.go:66"},
+	} {
+		r := Report{Checker: "uploader", Status: StatusError, Err: tc.err, Site: site}
+		if got := r.String(); got != tc.want {
+			t.Errorf("%s: String() = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
