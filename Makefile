@@ -46,10 +46,12 @@ kvs-commit-stress:
 # panic or exhaust memory, only return ErrCorrupt. FuzzTable: any sequence
 # of memtable operations must agree with a sorted-map model. A failing
 # input is written under the target's directory, ready to commit as a
-# regression seed.
+# regression seed. -fuzzminimizetime 0s keeps the engine executing inputs
+# for the whole -fuzztime instead of stalling to minimize each new
+# interesting input it finds.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/sstable
-	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/memtable
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/sstable
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/memtable
 
 # flake-census repeats the whole suite in shuffled order and the race
 # packages under the race detector, so an order- or timing-dependent test

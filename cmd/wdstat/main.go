@@ -1,6 +1,8 @@
-// Command wdstat renders a live view of a daemon's watchdog state from its
-// wdobs /watchdog endpoint — the operator-facing half of the observability
-// subsystem. One-shot by default; -watch polls continuously like `watch(1)`.
+// Command wdstat is the operator's view of the watchdog. Live, it renders a
+// daemon's wdobs /watchdog endpoint, once or with -watch like `watch(1)`.
+// Offline, it reads what a daemon leaves behind: a wdsuper episode ledger,
+// §5.2 failure capsules, or a JSONL detection journal, optionally replayed
+// through wdcep rules.
 //
 // Usage:
 //
@@ -8,6 +10,10 @@
 //	wdstat -addr 127.0.0.1:9120 -watch -every 2s
 //	wdstat -addr 127.0.0.1:9120 -json
 //	wdstat -episodes wdsuper-episodes.jsonl
+//	wdstat failure.json                         # one capsule
+//	wdstat /var/kvs/capsules                    # summarize a capsule directory
+//	wdstat detections.jsonl                     # journal timeline
+//	wdstat -rules rules.json detections.jsonl   # replay through wdcep rules
 package main
 
 import (
@@ -33,9 +39,20 @@ func main() {
 		rawJSON  = flag.Bool("json", false, "print the raw JSON snapshot and exit")
 		timeout  = flag.Duration("timeout", 3*time.Second, "per-attempt HTTP timeout (one retry with backoff on transient failures)")
 		episodes = flag.String("episodes", "", "render a wdsuper outage-episode ledger file offline and exit (no daemon needed)")
+		rules    = flag.String("rules", "", "wdcep JSON rule file: replay the journal argument through the temporal rule engine and print fired rules")
 	)
 	flag.Parse()
 
+	if flag.NArg() > 1 || (*rules != "" && flag.NArg() == 0) {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if flag.NArg() == 1 {
+		if err := showPath(flag.Arg(0), *rules); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	if *episodes != "" {
 		eps, torn, err := episode.Read(*episodes)
 		if err != nil {
@@ -71,20 +88,13 @@ func main() {
 			render(os.Stdout, *addr, snap)
 		}
 		if !*watch {
-			if snap := snapOrNil(snap, err); snap != nil && !snap.Healthy {
+			if err == nil && !snap.Healthy {
 				os.Exit(1)
 			}
 			return
 		}
 		time.Sleep(*every)
 	}
-}
-
-func snapOrNil(s *wdobs.Snapshot, err error) *wdobs.Snapshot {
-	if err != nil {
-		return nil
-	}
-	return s
 }
 
 // render prints the snapshot as an aligned table.
@@ -114,10 +124,7 @@ func render(w io.Writer, addr string, snap *wdobs.Snapshot) {
 		}
 		last := ""
 		if c.LastReport != nil && c.LastReport.Err != nil {
-			last = c.LastReport.Err.Error()
-			if len(last) > 40 {
-				last = last[:37] + "..."
-			}
+			last = clip(c.LastReport.Err.Error(), 40)
 		}
 		rows = append(rows, []string{
 			c.Name, status,
@@ -320,6 +327,14 @@ func shortDur(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.1fs", d.Seconds())
 	}
+}
+
+// clip cuts s to at most n bytes, marking a cut with a trailing "...".
+func clip(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	return s[:n-3] + "..."
 }
 
 func printTable(w io.Writer, rows [][]string) {

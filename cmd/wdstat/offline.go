@@ -4,12 +4,88 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
+	"gowatchdog/internal/capsule"
 	"gowatchdog/internal/wdcep"
 	"gowatchdog/internal/wdobs"
 )
+
+// showPath renders an offline artifact. A directory is summarized as
+// capsules, a .jsonl file (or any file given with rules) is a detection
+// journal, and anything else is one capsule.
+func showPath(path, rulesPath string) error {
+	fi, err := os.Stat(path)
+	switch {
+	case err != nil:
+		return err
+	case fi.IsDir():
+		return summarizeDir(os.Stdout, path)
+	case rulesPath != "" || strings.HasSuffix(path, ".jsonl"):
+		return showJournal(path, rulesPath)
+	}
+	return show(os.Stdout, path)
+}
+
+// summarizeDir prints one line per capsule in dir: status, checker and site.
+func summarizeDir(w io.Writer, dir string) error {
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		return err
+	}
+	found := false
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".json") {
+			continue
+		}
+		found = true
+		if c, err := capsule.ReadFile(filepath.Join(dir, name)); err != nil {
+			fmt.Fprintf(w, "%-40s  (unreadable: %v)\n", name, err)
+		} else {
+			fmt.Fprintf(w, "%-40s  %-8s  %-12s  %s\n", name, c.Status, c.Checker, c.Site)
+		}
+	}
+	if !found {
+		fmt.Fprintln(w, "no capsules found")
+	}
+	return nil
+}
+
+// show prints one capsule: the pinpointed site and the captured
+// failure-inducing context, restored as a checker would see it on replay.
+func show(w io.Writer, path string) error {
+	c, err := capsule.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "checker:  %s\nstatus:   %s\n", c.Checker, c.Status)
+	if c.Error != "" {
+		fmt.Fprintf(w, "error:    %s\n", c.Error)
+	}
+	fmt.Fprintf(w, "site:     %s\ntime:     %s  (checker latency %v)\n", c.Site, c.Time, c.Latency)
+	ctx, err := c.RestoreContext()
+	if err != nil {
+		return fmt.Errorf("restore context: %w", err)
+	}
+	keys := make([]string, 0, len(c.Payload))
+	for k := range c.Payload {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fmt.Fprintf(w, "context:  %d captured values (restored, ready=%v)\n", len(keys), ctx.Ready())
+	for _, k := range keys {
+		v, _ := ctx.Get(k)
+		if b, ok := v.([]byte); ok {
+			fmt.Fprintf(w, "  %-14s = %q (%d bytes)\n", k, clip(string(b), 63), len(b))
+		} else {
+			fmt.Fprintf(w, "  %-14s = %v\n", k, v)
+		}
+	}
+	return nil
+}
 
 // showJournal renders a wdobs JSONL detection journal: the event timeline
 // followed by a per-checker rollup. Reading is lenient — journals from crashed
@@ -29,12 +105,10 @@ func showJournal(path, rulesPath string) error {
 	}
 	renderJournal(os.Stdout, events)
 	reportJournalDamage(os.Stdout, stats)
-	if rulesPath != "" {
-		if err := replayRules(os.Stdout, rulesPath, events); err != nil {
-			return err
-		}
+	if rulesPath == "" {
+		return nil
 	}
-	return nil
+	return replayRules(os.Stdout, rulesPath, events)
 }
 
 // replayRules runs the journal through a fresh wdcep engine under the rule
@@ -133,7 +207,7 @@ func renderJournal(w io.Writer, events []wdobs.Event) {
 			line += ")"
 		}
 		if e.Report.Err != nil {
-			line += "  " + truncate(e.Report.Err.Error(), 60)
+			line += "  " + clip(e.Report.Err.Error(), 63)
 		}
 		if !e.Report.Site.IsZero() {
 			line += fmt.Sprintf("  @%s", e.Report.Site)

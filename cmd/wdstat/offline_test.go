@@ -153,3 +153,33 @@ func TestReplayRules(t *testing.T) {
 		t.Fatal("missing rule file should error")
 	}
 }
+
+// TestCapsuleViewsGolden pins the capsule view over a committed capsule, and
+// the directory summary over that capsule beside one a torn write left
+// unreadable, which is listed rather than failing the summary.
+func TestCapsuleViewsGolden(t *testing.T) {
+	var out strings.Builder
+	if err := show(&out, filepath.Join("testdata", "capsules", "kvs.flusher-1.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := summarizeDir(&out, filepath.Join("testdata", "capsules")); err != nil {
+		t.Fatal(err)
+	}
+	golden := strings.Join([]string{
+		"checker:  kvs.flusher",
+		"status:   error",
+		"error:    kvs.(*Store).FlushPartition/sstable.Write@internal/kvs/flush.go:68: write p001/000007.sst: input/output error",
+		"site:     kvs.(*Store).FlushPartition/sstable.Write@internal/kvs/flush.go:68",
+		"time:     2026-08-05 12:00:01 +0000 UTC  (checker latency 1.5ms)",
+		"context:  3 captured values (restored, ready=true)",
+		`  entries        = "user:0001=profile-data;user:0002=profile-data;user:0003=prof..." (78 bytes)`,
+		"  partition      = 1",
+		"  path           = /var/kvs/p001/000007.sst",
+		"kvs.flusher-1.json                        error     kvs.flusher   kvs.(*Store).FlushPartition/sstable.Write@internal/kvs/flush.go:68",
+		"kvs.wal-2.json                            (unreadable: capsule: unexpected end of JSON input)",
+		"",
+	}, "\n")
+	if got := out.String(); got != golden {
+		t.Errorf("capsule views mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, golden)
+	}
+}

@@ -182,18 +182,30 @@ func TestIntegrationKVSFullLoop(t *testing.T) {
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("capsule files: %v, %v", entries, err)
 	}
-	var found bool
+	var found *capsule.Capsule
 	for _, e := range entries {
 		c, err := capsule.ReadFile(filepath.Join(dir, "capsules", e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if strings.Contains(c.Site.Op, "VerifyChecksum") {
-			found = true
+			found = c
 		}
 	}
-	if !found {
+	if found == nil {
 		t.Fatal("no capsule pinpoints the checksum site")
+	}
+	// Replayed after the repair, the capsule no longer reproduces the fault.
+	verifyAll := watchdog.NewChecker("kvs.partition.replay", func(*watchdog.Context) error {
+		for i := 0; i < store.Partitions(); i++ {
+			if err := store.VerifyPartition(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if rep, err := capsule.Replay(verifyAll, found); err != nil || rep.Status != watchdog.StatusHealthy {
+		t.Fatalf("capsule replay after repair = %v, %v", rep, err)
 	}
 
 	// Client data covered by healthy state still readable after repair (the

@@ -254,7 +254,7 @@ func TestZK2201GrayFailure(t *testing.T) {
 		if r.Status != watchdog.StatusStuck {
 			t.Fatalf("watchdog status = %v, want stuck", r.Status)
 		}
-		if r.Site.Function != "coord.(*Leader).syncToFollower" || r.Site.Op != "net.Write" {
+		if r.Site.Function != "coord.sendProposal" || r.Site.Op != "net.Write" {
 			t.Fatalf("pinpoint = %v", r.Site)
 		}
 		if r.Payload["follower"] == nil || r.Payload["path"] == nil {

@@ -13,9 +13,10 @@ import (
 )
 
 // This file is the hand-checked twin of what cmd/awgen generates for the
-// coord package (see internal/autowatchdog and examples/autogen): reduced
-// versions of the long-running regions' vulnerable operations, a checker
-// per region, and context plumbing in the style of the paper's Figure 3.
+// coord package (see internal/autowatchdog and `awgen -pkg ./internal/coord`):
+// reduced versions of the long-running regions' vulnerable operations, a
+// checker per region, and context plumbing in the style of the paper's
+// Figure 3.
 
 // SerializeSnapshotReduced is the reduced serializeSnapshot of Figure 3: of
 // the whole serialize/serializeNode call chain, program logic reduction
@@ -54,12 +55,8 @@ func wdReadyContext() *watchdog.Context {
 // in around seven seconds and pinpointed the blocked function call with a
 // concrete context").
 func (l *Leader) syncChecker() watchdog.Checker {
-	site := watchdog.Site{
-		Function: "coord.(*Leader).syncToFollower",
-		Op:       "net.Write",
-		File:     "internal/coord/leader.go",
-		Line:     316,
-	}
+	site := watchdog.Site{Function: "coord.sendProposal", Op: "net.Write",
+		File: "internal/coord/leader.go", Line: 440}
 	return watchdog.NewChecker("coord.sync", func(ctx *watchdog.Context) error {
 		addr := ctx.GetString("follower")
 		if addr == "" {
@@ -84,12 +81,8 @@ func (l *Leader) syncChecker() watchdog.Checker {
 // prepared the context, it invokes the reduced serializeSnapshot against the
 // shadow filesystem — one real writeRecord with the captured node.
 func (l *Leader) snapshotChecker(shadow *wdio.FS) watchdog.Checker {
-	site := watchdog.Site{
-		Function: "coord.(*DataTree).SerializeSnapshot",
-		Op:       "WriteRecord",
-		File:     "internal/coord/snapshot.go",
-		Line:     106,
-	}
+	site := watchdog.Site{Function: "coord.(*DataTree).SerializeSnapshot", Op: "WriteRecord",
+		File: "internal/coord/snapshot.go", Line: 107}
 	return watchdog.NewChecker("coord.snapshot", func(ctx *watchdog.Context) error {
 		// Figure 3: if ctx.status != READY the driver never calls us, so the
 		// args are present here.
@@ -129,12 +122,8 @@ func (l *Leader) snapshotChecker(shadow *wdio.FS) watchdog.Checker {
 // the hook-captured transaction shape to a shadow WAL, syncs, and verifies
 // the frames — real disk I/O through the txn-log fault point.
 func (l *Leader) txnLogChecker(shadow *wdio.FS) watchdog.Checker {
-	site := watchdog.Site{
-		Function: "coord.(*Leader).logTxn",
-		Op:       "wal.Append",
-		File:     "internal/coord/txnlog.go",
-		Line:     103,
-	}
+	site := watchdog.Site{Function: "coord.(*Leader).logTxn", Op: "wal.Append",
+		File: "internal/coord/txnlog.go", Line: 108}
 	return watchdog.NewChecker("coord.log", func(ctx *watchdog.Context) error {
 		path := ctx.GetString("path")
 		if path == "" {

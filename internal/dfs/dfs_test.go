@@ -162,7 +162,7 @@ func TestMimicDiskCheckerCatchesIOFault(t *testing.T) {
 	if rep.Status != watchdog.StatusError {
 		t.Fatalf("mimic checker = %v, want error", rep.Status)
 	}
-	if rep.Site.Op != "volume0/os.WriteFile" {
+	if rep.Site.Op != "volume0/writeFileSync" {
 		t.Fatalf("pinpoint = %v", rep.Site)
 	}
 }

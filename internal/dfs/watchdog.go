@@ -58,12 +58,8 @@ func (dn *DataNode) MimicDiskChecker() watchdog.Checker {
 			payload = []byte("dfs watchdog block probe payload")
 		}
 		for _, v := range dn.vols {
-			site := watchdog.Site{
-				Function: "dfs.(*DataNode).WriteBlock",
-				Op:       fmt.Sprintf("volume%d/os.WriteFile", v.idx),
-				File:     "internal/dfs/dfs.go",
-				Line:     123,
-			}
+			site := watchdog.Site{Function: "dfs.(*DataNode).WriteBlock",
+				Op: fmt.Sprintf("volume%d/writeFileSync", v.idx), File: "internal/dfs/dfs.go", Line: 143}
 			err := watchdog.Op(ctx, site, func() error {
 				if err := dn.inj.Fire(fmt.Sprintf("%s%d", FaultVolumeWritePrefix, v.idx)); err != nil {
 					return err
@@ -108,12 +104,8 @@ func (dn *DataNode) InstallWatchdog(d *watchdog.Driver) {
 // scannerChecker runs the block scanner as a heavyweight mimic check:
 // any corrupt block is a safety violation with the block ID in the error.
 func (dn *DataNode) scannerChecker() watchdog.Checker {
-	site := watchdog.Site{
-		Function: "dfs.(*DataNode).ScanBlocks",
-		Op:       "crc32.Checksum",
-		File:     "internal/dfs/dfs.go",
-		Line:     176,
-	}
+	site := watchdog.Site{Function: "dfs.(*DataNode).ScanBlocks", Op: "ReadBlock",
+		File: "internal/dfs/dfs.go", Line: 216}
 	return watchdog.NewChecker("dfs.scanner", func(ctx *watchdog.Context) error {
 		return watchdog.Op(ctx, site, func() error {
 			corrupt, err := dn.ScanBlocks()

@@ -437,8 +437,8 @@ func TestZK2201MatchesPaperStory(t *testing.T) {
 		if lat := time.Since(faultStart); lat > horizon {
 			t.Errorf("watchdog detected after %v, want within %v", lat, horizon)
 		}
-		if rep.Site.Op != "net.Write" {
-			t.Errorf("pinpoint = %v, want the follower net.Write", rep.Site)
+		if rep.Site.Op != "net.Write" || rep.Site.File != "internal/coord/leader.go" || rep.Site.Line != 440 {
+			t.Errorf("pinpoint = %v, want the follower net.Write at leader.go:440", rep.Site)
 		}
 	case <-time.After(10 * horizon):
 		t.Fatal("watchdog never reported the blocked sync")
@@ -683,8 +683,8 @@ func TestDiskCheckerGenerations(t *testing.T) {
 			if v2.Status != tc.v2 {
 				t.Errorf("v2 = %v, want %v", v2.Status, tc.v2)
 			}
-			if tc.kind == faultinject.Error && v2.Site.Op != "volume0/os.WriteFile" {
-				t.Errorf("v2 pinpoint = %v, want volume0/os.WriteFile", v2.Site)
+			if tc.kind == faultinject.Error && v2.Site.Op != "volume0/writeFileSync" {
+				t.Errorf("v2 pinpoint = %v, want volume0/writeFileSync", v2.Site)
 			}
 		})
 	}

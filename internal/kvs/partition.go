@@ -161,13 +161,14 @@ func newPartition(id int, lo, hi []byte, dir string) (*partition, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	log, err := wal.Open(filepath.Join(dir, "wal.log"))
+	// A failure past here closes the tables loadTables opened.
+	p.log, err = wal.Open(filepath.Join(dir, "wal.log"))
 	if err != nil {
+		p.close()
 		return nil, 0, err
 	}
-	p.log = log
 	// Recover unflushed mutations.
-	if err := log.Replay(func(payload []byte) error {
+	if err := p.log.Replay(func(payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
 			return err
@@ -175,7 +176,7 @@ func newPartition(id int, lo, hi []byte, dir string) (*partition, int, error) {
 		p.applyToMem(rec)
 		return nil
 	}); err != nil {
-		log.Close()
+		p.close()
 		return nil, 0, fmt.Errorf("kvs: partition %d replay: %w", id, err)
 	}
 	return p, quarantined, nil

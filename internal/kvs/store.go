@@ -1,6 +1,7 @@
 package kvs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -516,9 +517,15 @@ func (s *Store) Get(key []byte) ([]byte, bool, error) {
 func (s *Store) Scan(start, end []byte, limit int) ([]memtable.Entry, error) {
 	var out []memtable.Entry
 	for _, p := range s.parts {
-		// Partitions are sorted by key range, so the remaining limit pushes
-		// down: each partition's bounded merge stops after its share instead
-		// of materializing the whole range.
+		// Partitions are sorted by key range, so the scan skips those below
+		// start, stops at the first at or above end, and pushes the remaining
+		// limit down: each bounded merge stops after its share.
+		if p.hi != nil && start != nil && bytes.Compare(p.hi, start) <= 0 {
+			continue
+		}
+		if p.lo != nil && end != nil && bytes.Compare(p.lo, end) >= 0 {
+			break
+		}
 		remaining := 0
 		if limit > 0 {
 			remaining = limit - len(out)

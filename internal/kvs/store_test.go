@@ -239,6 +239,13 @@ func TestScanAcrossMemtableAndTables(t *testing.T) {
 	if string(entries[1].Key) != "scan/c" {
 		t.Fatalf("entry 1 = %s", entries[1].Key)
 	}
+	// Across the boundary at "@" between the first two of four partitions.
+	s.Set([]byte("?a"), []byte("p0"))
+	s.Set([]byte("@a"), []byte("p1"))
+	across, err := s.Scan([]byte("?"), []byte("@b"), 0)
+	if err != nil || len(across) != 2 || string(across[0].Key) != "?a" || string(across[1].Key) != "@a" {
+		t.Fatalf("scan across a partition boundary = %v, %v", across, err)
+	}
 }
 
 func TestInMemoryModeNeverTouchesDisk(t *testing.T) {

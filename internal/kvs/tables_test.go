@@ -165,3 +165,27 @@ func TestOpenQuarantinesCorruptTable(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedOpenClosesLoadedTables: a partition whose WAL cannot open fails
+// the store, and the tables it had already opened are closed, not leaked.
+func TestFailedOpenClosesLoadedTables(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Partitions: 1, FlushThresholdBytes: 1 << 30}
+	s, err := Open(cfg)
+	for i := 0; i < 3 && err == nil; i++ {
+		if err = s.Set([]byte(fmt.Sprint(i)), []byte("v")); err == nil {
+			err = s.FlushPartition(0, true)
+		}
+	}
+	walPath := filepath.Join(cfg.Dir, "p000", "wal.log")
+	if err != nil || s.Close() != nil || os.Remove(walPath) != nil || os.Mkdir(walPath, 0o755) != nil {
+		t.Fatalf("three flushed tables, then a directory for the WAL: %v", err)
+	}
+	fds := func() int { es, _ := os.ReadDir("/proc/self/fd"); return len(es) }
+	before := fds()
+	if _, err := Open(cfg); err == nil {
+		t.Fatal("Open succeeded with a directory for a WAL")
+	}
+	if after := fds(); after > before {
+		t.Fatalf("failed Open left %d more descriptors open", after-before)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -220,40 +221,59 @@ func TestVerifyShadowWALBounded(t *testing.T) {
 	}
 }
 
+// siteLit matches a watchdog.Site literal that names a File:Line, fields in
+// declaration order. An Op built by fmt.Sprintf reads as its format string.
+var siteLit = regexp.MustCompile(`watchdog\.Site\{\s*Function:\s*"([^"]*)",\s*Op:\s*(?:fmt\.Sprintf\()?"([^"]*)"[^\n]*?,` +
+	`\s*File:\s*"([^"]*)",\s*Line:\s*(\d+),?\s*\}`)
+
 // TestMimicSitesPointAtTheirCalls keeps the hand-written pinpoints honest:
-// each Site's File:Line must make the Op's call, inside the function the
-// Site names.
+// each Site literal that names a File:Line, in the kvs, coord and dfs
+// checker suites and the watchdog package example, must point at a line
+// that makes the Op's call, inside the function the Site names.
 func TestMimicSitesPointAtTheirCalls(t *testing.T) {
-	fnName := regexp.MustCompile(`^kvs\.(?:\(\*(\w+)\)\.)?(\w+)$`)
-	for _, site := range []watchdog.Site{flusherSite, compactionSite, walSite, indexerSite, partitionSite, replSite} {
-		lines := readLines(t, filepath.Base(site.File))
-		if site.Line < 1 || site.Line > len(lines) {
-			t.Errorf("%s: line %d out of range", site.Op, site.Line)
-			continue
+	fnName := regexp.MustCompile(`^\w+\.(?:\(\*(\w+)\)\.)?(\w+)$`)
+	for _, src := range []string{"internal/kvs/watchdog.go", "internal/coord/watchdog.go",
+		"internal/dfs/watchdog.go", "internal/watchdog/example_test.go"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", src))
+		if err != nil {
+			t.Fatal(err)
 		}
-		line := lines[site.Line-1]
-		call := "." + site.Op[strings.LastIndex(site.Op, ".")+1:] + "("
-		if !strings.Contains(line, call) {
-			t.Errorf("%s:%d is %q, which makes no %s call", site.File, site.Line, strings.TrimSpace(line), call)
+		lits := siteLit.FindAllStringSubmatch(string(text), -1)
+		if len(lits) == 0 {
+			t.Errorf("%s: no pinpointed Site literals", src)
 		}
-		m := fnName.FindStringSubmatch(site.Function)
-		if m == nil {
-			t.Errorf("unparsable Function %q", site.Function)
-			continue
-		}
-		decl := regexp.MustCompile(`^func ` + m[2] + `\(`)
-		if m[1] != "" {
-			decl = regexp.MustCompile(`^func \(\w+ \*` + m[1] + `\) ` + m[2] + `\(`)
-		}
-		enclosing := ""
-		for i := site.Line - 1; i >= 0; i-- {
-			if strings.HasPrefix(lines[i], "func ") {
-				enclosing = lines[i]
-				break
+		for _, lit := range lits {
+			n, _ := strconv.Atoi(lit[4])
+			site := watchdog.Site{Function: lit[1], Op: lit[2], File: lit[3], Line: n}
+			lines := readLines(t, filepath.Join("..", "..", site.File))
+			if site.Line < 1 || site.Line > len(lines) {
+				t.Errorf("%s: line %d out of range", site.Op, site.Line)
+				continue
 			}
-		}
-		if !decl.MatchString(enclosing) {
-			t.Errorf("%s:%d is inside %q, not %s", site.File, site.Line, enclosing, site.Function)
+			line := lines[site.Line-1]
+			op := site.Op[strings.LastIndexAny(site.Op, "./")+1:]
+			if !regexp.MustCompile(`(^|\W)` + op + `\(`).MatchString(line) {
+				t.Errorf("%s:%d is %q, which makes no %s call", site.File, site.Line, strings.TrimSpace(line), op)
+			}
+			m := fnName.FindStringSubmatch(site.Function)
+			if m == nil {
+				t.Errorf("unparsable Function %q", site.Function)
+				continue
+			}
+			decl := regexp.MustCompile(`^func ` + m[2] + `\(`)
+			if m[1] != "" {
+				decl = regexp.MustCompile(`^func \(\w+ \*` + m[1] + `\) ` + m[2] + `\(`)
+			}
+			enclosing := ""
+			for i := site.Line - 1; i >= 0; i-- {
+				if strings.HasPrefix(lines[i], "func ") {
+					enclosing = lines[i]
+					break
+				}
+			}
+			if !decl.MatchString(enclosing) {
+				t.Errorf("%s:%d is inside %q, not %s", site.File, site.Line, enclosing, site.Function)
+			}
 		}
 	}
 }

@@ -136,6 +136,17 @@ func TestWatchdogDetectsHangWithSharedFate(t *testing.T) {
 		if rep.Site.Op != "sstable.Merge" {
 			t.Fatalf("pinpoint = %v", rep.Site)
 		}
+		// A gray failure: an extrinsic prober still sees a healthy store.
+		srv, err := Serve("127.0.0.1:0", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		c := dialClient(t, srv.Addr())
+		pingErr := c.Ping()
+		if v, err := c.Get("k"); pingErr != nil || err != nil || v != "v" {
+			t.Fatalf("client view while compaction is stuck: PING = %v, GET = %q, %v", pingErr, v, err)
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("driver never detected the hang")
 	}

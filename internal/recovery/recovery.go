@@ -399,7 +399,7 @@ func (m *Manager) Wait() { m.wg.Wait() }
 
 // OnEvent registers fn to receive every subsequent recovery log entry —
 // wdruntime journals them as KindRecovery detection events so temporal rules
-// and wdreplay see recovery outcomes next to the detections that caused
+// and wdstat see recovery outcomes next to the detections that caused
 // them. Listeners run synchronously on the logging goroutine (which may be a
 // retry goroutine), outside the manager lock; they must not block. Register
 // before the manager starts handling alarms.

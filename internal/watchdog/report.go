@@ -167,7 +167,7 @@ type Report struct {
 }
 
 // reportWire is the stable JSON schema for reports, shared by the wdobs
-// detection journal, the /watchdog endpoint, and wdreplay. Err is flattened
+// detection journal, the /watchdog endpoint, and wdstat. Err is flattened
 // to its message and Latency is pinned to nanoseconds so the format does not
 // depend on Go error types or Duration encoding details.
 type reportWire struct {

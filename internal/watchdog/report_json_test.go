@@ -11,7 +11,7 @@ import (
 
 // TestStatusTextRoundTrip proves every status survives MarshalText →
 // UnmarshalText, the contract that keeps the journal, the /watchdog
-// endpoint, and wdreplay on one wire format.
+// endpoint, and wdstat on one wire format.
 func TestStatusTextRoundTrip(t *testing.T) {
 	for s := StatusHealthy; s <= StatusSkipped; s++ {
 		text, err := s.MarshalText()

@@ -286,7 +286,7 @@ func (e *Engine) Snapshot() *Snapshot {
 
 // Replay runs a recorded event sequence through a fresh engine, evaluating
 // after every event (earliest-possible firing semantics), and returns the
-// firings — the offline path wdreplay -rules uses.
+// firings — the offline path wdstat -rules uses.
 func Replay(rules []Rule, events []Event) ([]Firing, error) {
 	eng, err := NewEngine(Config{Rules: rules, MaxFirings: len(events) + 1})
 	if err != nil {

@@ -21,12 +21,12 @@ const (
 	KindAlarm = "alarm"
 	// KindRecovery marks a recovery-manager outcome (recovered, retried,
 	// failed, escalated, unmatched), journaled so temporal rules and
-	// wdreplay see recovery activity next to the detections that drove it.
+	// wdstat see recovery activity next to the detections that drove it.
 	KindRecovery = "recovery"
 )
 
 // Event is one detection-journal entry. Its JSON form is one line of the
-// JSONL sink and the unit wdreplay consumes.
+// JSONL sink and the unit wdstat renders.
 type Event struct {
 	// Seq is the 1-based append sequence number, monotonic per journal.
 	Seq int64 `json:"seq"`
@@ -149,7 +149,7 @@ func (j *Journal) Seq() int64 {
 
 // ReadJournal parses a JSONL detection journal, one Event per line, skipping
 // blank lines. It is the decoding counterpart of the journal sink, shared by
-// wdreplay and anything else replaying a journal file. It is strict: the first
+// wdstat and anything else replaying a journal file. It is strict: the first
 // malformed line aborts the read. Use ReadJournalLenient when the file may end
 // in a torn write (a daemon killed mid-append).
 func ReadJournal(r io.Reader) ([]Event, error) {

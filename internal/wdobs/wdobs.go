@@ -8,7 +8,7 @@
 // status-transition counts, an execution-latency histogram, and timeout/hang
 // tallies; plus a context-staleness gauge derived from each Context's hook
 // sync timestamps. Detections land in a bounded ring-buffer journal with an
-// optional JSONL sink that cmd/wdreplay consumes.
+// optional JSONL sink that cmd/wdstat renders.
 //
 // Everything is standard library only and lock-cheap: the per-execution path
 // is a handful of atomic adds, and a driver without an observer pays one nil

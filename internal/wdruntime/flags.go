@@ -25,7 +25,7 @@ func BindFlags(fs *flag.FlagSet) *Config {
 	fs.DurationVar(&cfg.DampWindow, "wd-damp", cfg.DampWindow, "suppress duplicate watchdog alarms within this window (0 disables)")
 	fs.IntVar(&cfg.HangBudget, "wd-hang-budget", cfg.HangBudget, "max leaked hung checker goroutines before checks degrade to skips (0 = unlimited)")
 	fs.StringVar(&cfg.ObsAddr, "obs-addr", cfg.ObsAddr, "observability listen address (/metrics, /healthz, /watchdog, pprof)")
-	fs.StringVar(&cfg.JournalPath, "journal", cfg.JournalPath, "file to stream the detection journal to as JSONL (wdreplay-compatible)")
+	fs.StringVar(&cfg.JournalPath, "journal", cfg.JournalPath, "file to stream the detection journal to as JSONL (wdstat renders it)")
 	fs.StringVar(&cfg.CEPRulesFile, "wd-rules", cfg.CEPRulesFile, "JSON temporal-rule file for the wdcep engine; non-empty enables rule evaluation over the detection stream")
 	fs.BoolVar(&cfg.SdNotify, "sd-notify", true, "feed the supervisor's watchdog (NOTIFY_SOCKET) while the intrinsic verdict is healthy; no-op when unsupervised")
 	fs.StringVar(&cfg.EpisodePath, "episodes", os.Getenv("WDSUPER_EPISODES"), "outage-episode ledger (JSONL) to surface on /watchdog; wdsuper exports it as WDSUPER_EPISODES")

@@ -65,7 +65,7 @@ type Config struct {
 	// there on Start.
 	ObsAddr string
 	// JournalPath, when non-empty, streams the detection journal to that file
-	// as JSONL (wdreplay-compatible). Takes precedence over JournalSink.
+	// as JSONL (wdstat renders it). Takes precedence over JournalSink.
 	JournalPath string
 	// JournalSink, when non-nil, receives the JSONL journal stream. The sink
 	// stays caller-owned: Close flushes it (if it implements Flush() error)

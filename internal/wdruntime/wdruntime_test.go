@@ -308,7 +308,7 @@ func TestBindFlagsParity(t *testing.T) {
 		"wd-damp":          {"0s", "suppress duplicate watchdog alarms within this window (0 disables)"},
 		"wd-hang-budget":   {"0", "max leaked hung checker goroutines before checks degrade to skips (0 = unlimited)"},
 		"obs-addr":         {"", "observability listen address (/metrics, /healthz, /watchdog, pprof)"},
-		"journal":          {"", "file to stream the detection journal to as JSONL (wdreplay-compatible)"},
+		"journal":          {"", "file to stream the detection journal to as JSONL (wdstat renders it)"},
 		"wd-rules":         {"", "JSON temporal-rule file for the wdcep engine; non-empty enables rule evaluation over the detection stream"},
 		"sd-notify":        {"true", "feed the supervisor's watchdog (NOTIFY_SOCKET) while the intrinsic verdict is healthy; no-op when unsupervised"},
 		"episodes":         {"", "outage-episode ledger (JSONL) to surface on /watchdog; wdsuper exports it as WDSUPER_EPISODES"},
