@@ -59,7 +59,7 @@ func summarizeDir(w io.Writer, dir string) error {
 func show(w io.Writer, path string) error {
 	c, err := capsule.ReadFile(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	fmt.Fprintf(w, "checker:  %s\nstatus:   %s\n", c.Checker, c.Status)
 	if c.Error != "" {

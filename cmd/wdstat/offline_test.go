@@ -183,3 +183,21 @@ func TestCapsuleViewsGolden(t *testing.T) {
 		t.Errorf("capsule views mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, golden)
 	}
 }
+
+// TestShowTornCapsuleNamesPath: a capsule a torn write left unreadable fails
+// the one-capsule view with an error that names the file, so an operator
+// going through several capsules can tell which one is bad.
+func TestShowTornCapsuleNamesPath(t *testing.T) {
+	path := filepath.Join("testdata", "capsules", "kvs.wal-2.json")
+	var out strings.Builder
+	err := show(&out, path)
+	if err == nil {
+		t.Fatal("a torn capsule should not render")
+	}
+	if want := path + ": capsule: unexpected end of JSON input"; err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a torn capsule printed %q", out.String())
+	}
+}

@@ -405,14 +405,6 @@ func (l *Leader) followerConn() (net.Conn, error) {
 	return conn, nil
 }
 
-// ReconnectFollower drops the cached follower connection so the next sync
-// dials afresh — the connection-level microreboot a recovery manager
-// applies when the watchdog pinpoints a wedged or erroring sync (§5.2).
-func (l *Leader) ReconnectFollower() {
-	l.dropFollowerConn()
-	l.mets.Counter("coord.reconnects").Inc()
-}
-
 func (l *Leader) dropFollowerConn() {
 	l.connMu.Lock()
 	if l.follower != nil {

@@ -56,7 +56,7 @@ func wdReadyContext() *watchdog.Context {
 // concrete context").
 func (l *Leader) syncChecker() watchdog.Checker {
 	site := watchdog.Site{Function: "coord.sendProposal", Op: "net.Write",
-		File: "internal/coord/leader.go", Line: 440}
+		File: "internal/coord/leader.go", Line: 432}
 	return watchdog.NewChecker("coord.sync", func(ctx *watchdog.Context) error {
 		addr := ctx.GetString("follower")
 		if addr == "" {

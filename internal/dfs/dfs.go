@@ -102,9 +102,6 @@ func New(cfg Config) (*DataNode, error) {
 	return dn, nil
 }
 
-// Volumes returns the number of volumes.
-func (dn *DataNode) Volumes() int { return len(dn.vols) }
-
 // Metrics returns the node's metric registry.
 func (dn *DataNode) Metrics() *gauge.Registry { return dn.mets }
 

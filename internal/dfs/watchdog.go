@@ -59,7 +59,7 @@ func (dn *DataNode) MimicDiskChecker() watchdog.Checker {
 		}
 		for _, v := range dn.vols {
 			site := watchdog.Site{Function: "dfs.(*DataNode).WriteBlock",
-				Op: fmt.Sprintf("volume%d/writeFileSync", v.idx), File: "internal/dfs/dfs.go", Line: 143}
+				Op: fmt.Sprintf("volume%d/writeFileSync", v.idx), File: "internal/dfs/dfs.go", Line: 140}
 			err := watchdog.Op(ctx, site, func() error {
 				if err := dn.inj.Fire(fmt.Sprintf("%s%d", FaultVolumeWritePrefix, v.idx)); err != nil {
 					return err
@@ -105,7 +105,7 @@ func (dn *DataNode) InstallWatchdog(d *watchdog.Driver) {
 // any corrupt block is a safety violation with the block ID in the error.
 func (dn *DataNode) scannerChecker() watchdog.Checker {
 	site := watchdog.Site{Function: "dfs.(*DataNode).ScanBlocks", Op: "ReadBlock",
-		File: "internal/dfs/dfs.go", Line: 216}
+		File: "internal/dfs/dfs.go", Line: 213}
 	return watchdog.NewChecker("dfs.scanner", func(ctx *watchdog.Context) error {
 		return watchdog.Op(ctx, site, func() error {
 			corrupt, err := dn.ScanBlocks()

@@ -437,8 +437,8 @@ func TestZK2201MatchesPaperStory(t *testing.T) {
 		if lat := time.Since(faultStart); lat > horizon {
 			t.Errorf("watchdog detected after %v, want within %v", lat, horizon)
 		}
-		if rep.Site.Op != "net.Write" || rep.Site.File != "internal/coord/leader.go" || rep.Site.Line != 440 {
-			t.Errorf("pinpoint = %v, want the follower net.Write at leader.go:440", rep.Site)
+		if rep.Site.Op != "net.Write" || rep.Site.File != "internal/coord/leader.go" || rep.Site.Line != 432 {
+			t.Errorf("pinpoint = %v, want the follower net.Write at leader.go:432", rep.Site)
 		}
 	case <-time.After(10 * horizon):
 		t.Fatal("watchdog never reported the blocked sync")

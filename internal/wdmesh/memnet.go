@@ -3,6 +3,7 @@ package wdmesh
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"gowatchdog/internal/clock"
@@ -108,11 +109,20 @@ func (t *MemTransport) Send(ctx context.Context, peer string, msg *Message) erro
 		case out.Duplicate:
 			copies = 2
 		case out.Delay > 0:
+			// The sender may reuse msg's slices once Send returns, so a
+			// delivery that outlives Send carries its own copy of them.
+			late := *msg
+			late.Self.Abnormal = slices.Clone(msg.Self.Abnormal)
+			late.Known = slices.Clone(msg.Known)
+			for i := range late.Known {
+				late.Known[i].Abnormal = slices.Clone(late.Known[i].Abnormal)
+			}
+			late.Obs = slices.Clone(msg.Obs)
 			t.net.wg.Add(1)
 			go func() {
 				defer t.net.wg.Done()
 				t.net.clk.Sleep(out.Delay)
-				dst.handle(msg)
+				dst.handle(&late)
 			}()
 			return nil
 		}

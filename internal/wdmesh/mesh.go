@@ -107,8 +107,9 @@ func (a ackRef) covers(epoch int64, seq uint64) bool {
 }
 
 // peer is the per-peer send side: a bounded queue drained by one sender
-// goroutine, drop/retry/failure counters, link health, and the ack table
-// driving delta suppression.
+// goroutine (built by Start; a stepped mesh sends inline and has none),
+// drop/retry/failure counters, link health, and the ack table driving delta
+// suppression.
 type peer struct {
 	name  string
 	idx   int
@@ -133,12 +134,19 @@ type peer struct {
 	lastEpoch int64
 }
 
-// obsRecord is one observer's most recent abnormal-observation set. A frame
-// with none deletes the observer's record, which clears its previous
-// suspicions exactly as an empty set would.
+// obsRecord is one observer's most recent abnormal-observation set, held in
+// Mesh.obs at the observer's index. A frame with none empties kinds, which
+// clears the observer's previous suspicions; the slice keeps its capacity for
+// the next frame.
 type obsRecord struct {
 	at    time.Time
-	kinds map[string]string // subject -> non-ok observation kind
+	kinds []obsKind
+}
+
+// obsKind is one relayed non-ok observation: the subject's index and kind.
+type obsKind struct {
+	subject int
+	kind    string
 }
 
 // member is one peer's name and index, an entry of Mesh.order.
@@ -161,18 +169,26 @@ type Mesh struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
+	// mu guards the round state below. The slices from digests to obsPos
+	// hold per-peer state, indexed like peers.
 	mu       sync.Mutex
 	seq      uint64
 	round    uint64
-	digests  []Digest    // freshest known digest per peer index
-	present  []bool      // whether any digest has been seen for the index
-	heard    []time.Time // when a fresh digest for the index last arrived
-	obs      map[string]obsRecord
-	verdicts map[string]Verdict
-	scratch  []int  // reused per-round sample buffer
-	cand     []int  // reused per-frame delta candidates, in name order
-	ranked   []int  // reused MaxDelta ranking buffer
-	suspect  []bool // reused per-round verdict candidate marks, by index
+	digests  []Digest           // freshest known digest
+	gossiped []uint32           // frames the stored digest went into since it arrived
+	present  []bool             // whether any digest has been seen
+	heard    []time.Time        // when a fresh digest last arrived
+	obs      []obsRecord        // the peer's latest relayed observations, as observer
+	votes    []voteTally        // reused per-round tallies, as subject
+	suspect  []bool             // reused per-round verdict candidate marks
+	obsPos   []int              // reused per-frame: 1 + subject's position in kinds
+	verdicts map[string]Verdict // standing cluster verdicts by subject
+	scratch  []int              // reused per-round sample buffer
+	cand     []int              // reused per-frame delta candidates, in name order
+	ranked   []int              // reused MaxDelta ranking buffer
+	// free holds the Known buffers of frames already sent or dropped (see
+	// release), so a steady-state round allocates no frame storage.
+	free [][]Digest
 
 	begun    bool // handler installed, heard seeded (Start or first Step)
 	started  bool // goroutine mode (Start)
@@ -254,7 +270,6 @@ func New(cfg Config) (*Mesh, error) {
 		clk:      cfg.Clock,
 		rng:      rand.New(rand.NewSource(cfg.JitterSeed)),
 		byName:   make(map[string]int),
-		obs:      make(map[string]obsRecord),
 		verdicts: make(map[string]Verdict),
 		stop:     make(chan struct{}),
 	}
@@ -264,7 +279,7 @@ func New(cfg Config) (*Mesh, error) {
 			continue
 		}
 		seen[name] = true
-		p := &peer{name: name, idx: len(m.peers), queue: make(chan Message, cfg.QueueCap)}
+		p := &peer{name: name, idx: len(m.peers)}
 		m.byName[name] = len(m.peers)
 		m.peers = append(m.peers, p)
 	}
@@ -273,9 +288,13 @@ func New(cfg Config) (*Mesh, error) {
 	}
 	n := len(m.peers)
 	m.digests = make([]Digest, n)
+	m.gossiped = make([]uint32, n)
 	m.present = make([]bool, n)
 	m.heard = make([]time.Time, n)
+	m.obs = make([]obsRecord, n)
+	m.votes = make([]voteTally, n)
 	m.suspect = make([]bool, n)
+	m.obsPos = make([]int, n)
 	m.order = make([]member, n)
 	for i, p := range m.peers {
 		p.acked = make([]ackRef, n)
@@ -342,6 +361,7 @@ func (m *Mesh) Start() {
 	m.mu.Unlock()
 
 	for _, p := range m.peers {
+		p.queue = make(chan Message, m.cfg.QueueCap)
 		m.wg.Add(1)
 		go m.sender(p)
 	}
@@ -366,11 +386,14 @@ func (m *Mesh) Step() {
 	m.beginLocked()
 	m.mu.Unlock()
 
-	for _, f := range m.buildRound() {
+	frames := m.buildRound()
+	for i := range frames {
+		f := &frames[i]
 		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.SendTimeout)
 		err := m.cfg.Transport.Send(ctx, f.p.name, &f.msg)
 		cancel()
 		m.noteSend(f.p, err)
+		m.release(&f.msg)
 	}
 }
 
@@ -416,8 +439,24 @@ func (m *Mesh) tickOnce() {
 		case f.p.queue <- f.msg:
 		default:
 			f.p.drops.Add(1)
+			m.release(&f.msg)
 		}
 	}
+}
+
+// release takes back a frame's Known buffer for the next round's frames. It
+// is the one release point of a frame in both modes: once its Send has
+// returned (Step), once deliver is done with it or the queue drops it
+// (Start). The Transport contract makes this safe: Send keeps no slice of
+// msg after it returns.
+func (m *Mesh) release(msg *Message) {
+	if cap(msg.Known) == 0 {
+		return
+	}
+	m.mu.Lock()
+	m.free = append(m.free, msg.Known[:0])
+	m.mu.Unlock()
+	msg.Known = nil
 }
 
 // buildRound assembles this round's digest, re-evaluates suspicion and
@@ -438,8 +477,9 @@ func (m *Mesh) buildRound() []outFrame {
 	m.seq++
 	m.round++
 	d.Seq = m.seq
-	m.evaluateVerdictsLocked(now)
-	obs := m.localObsLocked(now)
+	cutoff := now.Add(-m.cfg.SuspectAfter)
+	m.evaluateVerdictsLocked(now, cutoff)
+	obs := m.localObsLocked(cutoff)
 	targets := m.sampleLocked()
 	frames := make([]outFrame, 0, len(targets))
 	for _, t := range targets {
@@ -531,9 +571,15 @@ func (m *Mesh) deltaLocked(p *peer, full bool) []Digest {
 	if !full && len(cand) > m.cfg.MaxDelta {
 		cand = m.leastGossipedLocked(cand)
 	}
-	out := make([]Digest, 0, len(cand))
+	var out []Digest
+	if k := len(m.free); k > 0 {
+		out = m.free[k-1]
+		m.free[k-1] = nil
+		m.free = m.free[:k-1]
+	}
+	out = slices.Grow(out, len(cand))
 	for _, i := range cand {
-		m.digests[i].gossiped++
+		m.gossiped[i]++
 		out = append(out, m.digests[i])
 	}
 	return out
@@ -543,7 +589,7 @@ func (m *Mesh) deltaLocked(p *peer, full bool) []Digest {
 // by (gossiped, index), keeping cand's name order. Callers hold m.mu.
 func (m *Mesh) leastGossipedLocked(cand []int) []int {
 	rank := func(a, b int) int {
-		if ga, gb := m.digests[a].gossiped, m.digests[b].gossiped; ga != gb {
+		if ga, gb := m.gossiped[a], m.gossiped[b]; ga != gb {
 			return cmp.Compare(ga, gb)
 		}
 		return cmp.Compare(a, b)
@@ -571,22 +617,24 @@ const maxObsPerFrame = 64
 
 // localObsLocked collects this node's current non-ok observations (ObsOK is
 // implied by absence). Callers hold m.mu.
-func (m *Mesh) localObsLocked(now time.Time) []Observation {
+func (m *Mesh) localObsLocked(cutoff time.Time) []Observation {
 	n := len(m.peers)
 	var out []Observation
 	start := int(m.round) % n
 	for off := 0; off < n && len(out) < maxObsPerFrame; off++ {
 		i := (start + off) % n
-		if kind := m.observationLocked(i, now); kind != ObsOK {
+		if kind := m.observationLocked(i, cutoff); kind != ObsOK {
 			out = append(out, Observation{Node: m.peers[i].name, Kind: kind})
 		}
 	}
 	return out
 }
 
-// observationLocked classifies one peer index right now. Callers hold m.mu.
-func (m *Mesh) observationLocked(i int, now time.Time) string {
-	if !m.begun || now.Sub(m.heard[i]) > m.cfg.SuspectAfter {
+// observationLocked classifies one peer index; cutoff is now minus
+// SuspectAfter, so a peer last heard before it is unreachable. Callers hold
+// m.mu.
+func (m *Mesh) observationLocked(i int, cutoff time.Time) string {
+	if !m.begun || m.heard[i].Before(cutoff) {
 		return ObsUnreachable
 	}
 	if m.present[i] && !m.digests[i].Healthy {
@@ -603,7 +651,7 @@ func (m *Mesh) Observation(node string) string {
 	if !ok {
 		return ObsUnreachable
 	}
-	return m.observationLocked(i, m.clk.Now())
+	return m.observationLocked(i, m.clk.Now().Add(-m.cfg.SuspectAfter))
 }
 
 // KnownDigest returns the freshest digest held for a node, if any.
@@ -641,54 +689,42 @@ type voteTally struct {
 // plus fresh relayed ones, raising and clearing under the quorum gate. It is
 // candidate-driven so a healthy thousand-node cluster pays O(N) per round,
 // not O(N·observers): only subjects someone currently complains about (or
-// that hold a standing verdict) are tallied. Callers hold m.mu.
-func (m *Mesh) evaluateVerdictsLocked(now time.Time) {
+// that hold a standing verdict) are tallied. cutoff is now minus SuspectAfter.
+// Callers hold m.mu.
+func (m *Mesh) evaluateVerdictsLocked(now, cutoff time.Time) {
 	// One pass over observer records tallies every remote complaint and
 	// prunes observers that have been silent for several suspicion windows.
-	// A healthy cluster has no records with kinds and allocates nothing.
-	var votes map[string]*voteTally
-	for observer, rec := range m.obs {
-		age := now.Sub(rec.at)
-		if age > 4*m.cfg.SuspectAfter {
-			delete(m.obs, observer)
+	// A healthy cluster has no records with kinds.
+	prune := now.Add(-4 * m.cfg.SuspectAfter)
+	for o := range m.obs {
+		rec := &m.obs[o]
+		if len(rec.kinds) == 0 {
 			continue
 		}
-		if age > m.cfg.SuspectAfter {
+		if rec.at.Before(prune) {
+			rec.kinds = rec.kinds[:0]
+			continue
+		}
+		if rec.at.Before(cutoff) {
 			continue // the observer itself has gone quiet; its view is stale
 		}
-		for subject, kind := range rec.kinds {
-			if subject == observer {
-				// A node's opinion of itself is its digest, which already
-				// drives the local observation; it is not corroboration.
-				continue
-			}
-			v := votes[subject]
-			if v == nil {
-				if votes == nil {
-					votes = make(map[string]*voteTally)
-				}
-				v = &voteTally{}
-				votes[subject] = v
-			}
-			switch kind {
+		for _, k := range rec.kinds {
+			m.suspect[k.subject] = true
+			switch k.kind {
 			case ObsAlarming:
-				v.alarming++
+				m.votes[k.subject].alarming++
 			case ObsUnreachable:
-				v.unreachable++
+				m.votes[k.subject].unreachable++
 			}
 		}
 	}
 
-	// Candidates, marked by peer index: locally suspect peers, remotely
-	// complained-about peers, and standing verdicts (which must be re-checked
-	// to clear). They are evaluated in name order.
+	// Candidates, marked by peer index: remotely complained-about peers
+	// (above), locally suspect peers, and standing verdicts (which must be
+	// re-checked to clear). They are evaluated in name order; every tallied
+	// subject is a candidate, so the loop also zeroes every tally.
 	for i := range m.peers {
-		if m.observationLocked(i, now) != ObsOK {
-			m.suspect[i] = true
-		}
-	}
-	for subject := range votes {
-		if i, ok := m.byName[subject]; ok {
+		if m.observationLocked(i, cutoff) != ObsOK {
 			m.suspect[i] = true
 		}
 	}
@@ -702,11 +738,9 @@ func (m *Mesh) evaluateVerdictsLocked(now time.Time) {
 			continue
 		}
 		m.suspect[i] = false
-		tally := voteTally{}
-		if v := votes[subject]; v != nil {
-			tally = *v
-		}
-		switch m.observationLocked(i, now) {
+		tally := m.votes[i]
+		m.votes[i] = voteTally{}
+		switch m.observationLocked(i, cutoff) {
 		case ObsAlarming:
 			tally.alarming++
 		case ObsUnreachable:
@@ -780,7 +814,10 @@ func (m *Mesh) Verdicts() []Verdict {
 // receive absorbs one inbound frame in one pass: ack evidence for the sender
 // and the freshest-digest merge for its own digest and everything it relayed,
 // then its observation set. Frames from outside the fixed membership are
-// dropped: they carry no ack evidence and must not vote.
+// dropped: they carry no ack evidence and must not vote. So are observations
+// of non-members, which could never become verdict candidates, and a node's
+// opinion of itself, which its digest already carries and which is not
+// corroboration.
 func (m *Mesh) receive(msg *Message) {
 	if msg == nil || msg.From == m.cfg.Self {
 		return
@@ -792,6 +829,7 @@ func (m *Mesh) receive(msg *Message) {
 	m.received.Add(1)
 	now := m.clk.Now()
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	p := m.peers[from]
 	if i, ok := m.byName[msg.Self.Node]; ok {
 		m.absorbLocked(p, i, &msg.Self, now)
@@ -803,22 +841,27 @@ func (m *Mesh) receive(msg *Message) {
 			m.absorbLocked(p, i, d, now)
 		}
 	}
-	var kinds map[string]string
+	rec := &m.obs[from]
+	rec.at = now
+	rec.kinds = rec.kinds[:0]
 	for _, o := range msg.Obs {
-		if o.Node == m.cfg.Self || o.Node == "" || o.Kind == ObsOK {
+		if o.Kind == ObsOK {
 			continue
 		}
-		if kinds == nil {
-			kinds = make(map[string]string, len(msg.Obs))
+		subject, ok := m.byName[o.Node]
+		if !ok || subject == from {
+			continue
 		}
-		kinds[o.Node] = o.Kind
+		if pos := m.obsPos[subject]; pos > 0 {
+			rec.kinds[pos-1].kind = o.Kind // a repeated subject: the later entry wins
+			continue
+		}
+		rec.kinds = append(rec.kinds, obsKind{subject: subject, kind: o.Kind})
+		m.obsPos[subject] = len(rec.kinds)
 	}
-	if kinds == nil {
-		delete(m.obs, msg.From)
-	} else {
-		m.obs[msg.From] = obsRecord{at: now, kinds: kinds}
+	for _, k := range rec.kinds {
+		m.obsPos[k.subject] = 0
 	}
-	m.mu.Unlock()
 }
 
 // seek returns the index of peer name. Relayed digests arrive in name order,
@@ -859,7 +902,7 @@ func (m *Mesh) absorbLocked(p *peer, i int, d *Digest, now time.Time) {
 		return
 	}
 	m.digests[i] = *d
-	m.digests[i].gossiped = 0
+	m.gossiped[i] = 0
 	m.present[i] = true
 	m.heard[i] = now
 }
@@ -881,6 +924,7 @@ func (m *Mesh) sender(p *peer) {
 // deliver attempts one message with bounded retries; a message that exhausts
 // its retry budget is abandoned (the next gossip round supersedes it anyway).
 func (m *Mesh) deliver(p *peer, msg Message) {
+	defer m.release(&msg)
 	backoff := m.cfg.RetryBase
 	for attempt := 0; ; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.SendTimeout)

@@ -79,7 +79,6 @@ type Snapshot struct {
 // Snapshot assembles the current mesh view. It is safe to call concurrently
 // with gossip.
 func (m *Mesh) Snapshot() *Snapshot {
-	now := m.clk.Now()
 	s := &Snapshot{
 		Self:             m.cfg.Self,
 		Quorum:           m.cfg.Quorum,
@@ -99,10 +98,14 @@ func (m *Mesh) Snapshot() *Snapshot {
 	}
 
 	m.mu.Lock()
+	// Read the clock under the lock: a digest absorbed between an earlier
+	// reading and the lock would be heard "in the future", a negative age.
+	now := m.clk.Now()
+	cutoff := now.Add(-m.cfg.SuspectAfter)
 	for i, p := range m.peers {
 		ps := PeerSnapshot{
 			Node:           p.name,
-			Observation:    m.observationLocked(i, now),
+			Observation:    m.observationLocked(i, cutoff),
 			LastHeardNS:    -1,
 			QueueDrops:     p.drops.Load(),
 			SendRetries:    p.retries.Load(),

@@ -21,9 +21,14 @@ type Transport interface {
 	// Send delivers msg to the named peer, or returns an error. A nil error
 	// only means the message was handed to the network; with a lossy link
 	// the receiver may still never see it (that is what suspicion is for).
+	// The sender reuses msg's slices for later frames as soon as Send
+	// returns, so Send must not keep msg, or any slice it references, past
+	// its return: marshal it, deliver it, or copy what a later delivery
+	// needs.
 	Send(ctx context.Context, peer string, msg *Message) error
 	// SetHandler installs the inbound message callback. It is called once,
-	// before any Send.
+	// before any Send. The handler must not keep msg or its Known and Obs
+	// slices after it returns: in process they are the sender's buffers.
 	SetHandler(h func(*Message))
 	// Close releases the transport (listener, connections).
 	Close() error

@@ -71,12 +71,6 @@ type Digest struct {
 	Abnormal []string `json:"abnormal,omitempty"`
 	// Alarms is the producer's process-lifetime alarm count.
 	Alarms int64 `json:"alarms"`
-
-	// gossiped counts how many frames this stored copy has been piggybacked
-	// into since it was last refreshed; the delta builder spends its MaxDelta
-	// budget on least-gossiped entries first so new rumors outrun old ones.
-	// Receiver-local bookkeeping, never serialized.
-	gossiped uint32
 }
 
 // Observation kinds: how one node currently classifies a peer.
