@@ -17,8 +17,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet covers the root module and the benchmark module, which ./... stops at.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 # lint runs the watchdog-hygiene analyzers (cmd/wdlint) over the module.
 # Info-level findings are reported but do not fail; warn and error do.

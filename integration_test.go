@@ -75,11 +75,23 @@ func TestIntegrationKVSFullLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recMu sync.Mutex
+	var abnormal []string // the last five abnormal reports, for failure messages
 	driver.OnReport(func(rep watchdog.Report) {
 		recMu.Lock()
 		rec.OnReport(rep)
+		if rep.Status.Abnormal() {
+			abnormal = append(abnormal, rep.String())
+			if len(abnormal) > 5 {
+				abnormal = abnormal[len(abnormal)-5:]
+			}
+		}
 		recMu.Unlock()
 	})
+	lastAbnormal := func() []string {
+		recMu.Lock()
+		defer recMu.Unlock()
+		return append([]string(nil), abnormal...)
+	}
 
 	mgr := recovery.New()
 	mgr.Register(recovery.ForSiteOp("quarantine", "sstable.VerifyChecksum",
@@ -127,7 +139,7 @@ func TestIntegrationKVSFullLoop(t *testing.T) {
 	// The scheduled watchdog has been running healthy.
 	time.Sleep(100 * time.Millisecond)
 	if !driver.Healthy() {
-		t.Fatalf("driver unhealthy on healthy system: %v", lastAbnormal(driver))
+		t.Fatalf("driver unhealthy on healthy system: %v", lastAbnormal())
 	}
 
 	// Inject silent corruption into whichever partition holds "it/" keys.
@@ -156,7 +168,7 @@ func TestIntegrationKVSFullLoop(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("recovery never ran; driver history: %v", lastAbnormal(driver))
+			t.Fatalf("recovery never ran; driver history: %v", lastAbnormal())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -166,7 +178,7 @@ func TestIntegrationKVSFullLoop(t *testing.T) {
 	deadline = time.Now().Add(5 * time.Second)
 	for !driver.Healthy() {
 		if time.Now().After(deadline) {
-			t.Fatalf("driver never recovered: %v", lastAbnormal(driver))
+			t.Fatalf("driver never recovered: %v", lastAbnormal())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -289,19 +301,6 @@ func TestIntegrationCoordAndDFSWatchdogsCoexist(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("coord watchdog never detected")
 	}
-}
-
-func lastAbnormal(d *watchdog.Driver) []string {
-	var out []string
-	for _, rep := range d.History() {
-		if rep.Status.Abnormal() {
-			out = append(out, rep.String())
-		}
-	}
-	if len(out) > 5 {
-		out = out[len(out)-5:]
-	}
-	return out
 }
 
 // newDFSWithWatchdog builds a two-volume DataNode with its watchdog, fed by

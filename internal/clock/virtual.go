@@ -29,13 +29,6 @@ func NewVirtual() *Virtual {
 	return v
 }
 
-// NewVirtualAt returns a virtual clock starting at t.
-func NewVirtualAt(t time.Time) *Virtual {
-	v := &Virtual{now: t}
-	v.sleeper = sync.NewCond(&v.mu)
-	return v
-}
-
 type waiter struct {
 	deadline time.Time
 	seq      uint64
@@ -163,15 +156,6 @@ func (v *Virtual) Advance(d time.Duration) {
 	}
 	v.now = target
 	v.mu.Unlock()
-}
-
-// AdvanceTo moves the virtual clock forward to t. It panics if t is in the
-// past.
-func (v *Virtual) AdvanceTo(t time.Time) {
-	v.mu.Lock()
-	d := t.Sub(v.now)
-	v.mu.Unlock()
-	v.Advance(d)
 }
 
 // Waiters reports how many timers, tickers and sleepers are currently

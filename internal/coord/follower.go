@@ -36,16 +36,6 @@ func NewFollower(addr string) (*Follower, error) {
 // Addr returns the proposal listener address.
 func (f *Follower) Addr() string { return f.ln.Addr().String() }
 
-// Tree exposes the follower's data tree.
-func (f *Follower) Tree() *DataTree { return f.tree }
-
-// Applied returns the number of proposals applied.
-func (f *Follower) Applied() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.applied
-}
-
 // Close stops the follower.
 func (f *Follower) Close() error {
 	f.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,7 +92,11 @@ func TestHeartbeatThreadBeatsDetector(t *testing.T) {
 	v := clock.NewVirtual()
 	l := NewLeader(LeaderConfig{Clock: v, HeartbeatInterval: time.Second})
 	hb := detect.NewHeartbeat(v, 3*time.Second)
-	l.OnHeartbeat(hb.Beat)
+	var beats atomic.Int64
+	l.OnHeartbeat(func() {
+		beats.Add(1)
+		hb.Beat()
+	})
 	l.Start()
 	defer l.Close()
 	v.BlockUntil(1)
@@ -99,7 +104,7 @@ func TestHeartbeatThreadBeatsDetector(t *testing.T) {
 		v.Advance(time.Second)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for hb.Beats() == 0 {
+	for beats.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("heartbeat thread never beat the detector")
 		}

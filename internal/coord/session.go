@@ -69,13 +69,6 @@ func (st *SessionTable) Len() int {
 	return len(st.sessions)
 }
 
-// Expired returns the total number of sessions expired so far.
-func (st *SessionTable) Expired() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.expired
-}
-
 // ExpireIdle removes sessions idle past the timeout and returns how many it
 // expired. The leader's heartbeat thread calls it periodically.
 func (st *SessionTable) ExpireIdle() int {

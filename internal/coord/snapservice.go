@@ -64,9 +64,6 @@ func (s *SnapshotService) Close() {
 	}
 }
 
-// Dir returns the snapshot directory.
-func (s *SnapshotService) Dir() string { return s.dir }
-
 func (s *SnapshotService) run() {
 	defer close(s.done)
 	tick := s.leader.clk.NewTicker(s.interval)
@@ -124,33 +121,4 @@ func (s *SnapshotService) prune() {
 		os.Remove(filepath.Join(s.dir, snaps[0]))
 		snaps = snaps[1:]
 	}
-}
-
-// RestoreLatest loads the newest snapshot from dir into a fresh tree; ok is
-// false when no snapshot exists.
-func RestoreLatest(dir string) (*DataTree, bool, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, false, err
-	}
-	var newest string
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".snap") && name > newest {
-			newest = name
-		}
-	}
-	if newest == "" {
-		return nil, false, nil
-	}
-	f, err := os.Open(filepath.Join(dir, newest))
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	tree, err := RestoreSnapshot(f)
-	if err != nil {
-		return nil, false, err
-	}
-	return tree, true, nil
 }

@@ -3,7 +3,6 @@ package coord
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,9 +15,6 @@ import (
 // vulnerable operation AutoWatchdog identifies at Figure 2 line 20
 // (oa.writeRecord(node, "node")).
 const FaultSnapshotWrite = "coord.snapshot.write"
-
-// ErrSnapshotCorrupt is returned when a snapshot fails to parse.
-var ErrSnapshotCorrupt = errors.New("coord: corrupt snapshot")
 
 // WriteRecord serializes one node record — the analog of
 // OutputArchive.writeRecord from Figure 2. It is exported because the
@@ -40,36 +36,6 @@ func WriteRecord(w io.Writer, nodePath string, data []byte) error {
 		return err
 	}
 	return nil
-}
-
-// readRecord decodes one WriteRecord frame.
-func readRecord(r *bufio.Reader) (string, []byte, error) {
-	plen, err := binary.ReadUvarint(r)
-	if err == io.EOF {
-		return "", nil, io.EOF // clean end of snapshot
-	}
-	if err != nil {
-		return "", nil, fmt.Errorf("%w: path length: %v", ErrSnapshotCorrupt, err)
-	}
-	if plen > 1<<20 {
-		return "", nil, fmt.Errorf("%w: path length %d", ErrSnapshotCorrupt, plen)
-	}
-	pbuf := make([]byte, plen)
-	if _, err := io.ReadFull(r, pbuf); err != nil {
-		return "", nil, fmt.Errorf("%w: path", ErrSnapshotCorrupt)
-	}
-	dlen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", nil, fmt.Errorf("%w: data length", ErrSnapshotCorrupt)
-	}
-	if dlen > 1<<30 {
-		return "", nil, fmt.Errorf("%w: data length %d", ErrSnapshotCorrupt, dlen)
-	}
-	data := make([]byte, dlen)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return "", nil, fmt.Errorf("%w: data", ErrSnapshotCorrupt)
-	}
-	return string(pbuf), data, nil
 }
 
 // SerializeSnapshot walks the tree and writes every node record to w — the
@@ -111,14 +77,6 @@ func (t *DataTree) SerializeSnapshot(w io.Writer, inj *faultinject.Injector,
 	return nil
 }
 
-// SerializedCount returns the number of nodes written by the last snapshot —
-// Figure 2's scount.
-func (t *DataTree) SerializedCount() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.scount
-}
-
 // SnapshotToFile serializes the tree to a file with fsync.
 func (t *DataTree) SnapshotToFile(path string, inj *faultinject.Injector,
 	factory *watchdog.Factory) error {
@@ -140,25 +98,4 @@ func (t *DataTree) SnapshotToFile(path string, inj *faultinject.Injector,
 		return err
 	}
 	return f.Close()
-}
-
-// RestoreSnapshot rebuilds a tree from a serialized snapshot.
-func RestoreSnapshot(r io.Reader) (*DataTree, error) {
-	t := NewDataTree()
-	br := bufio.NewReader(r)
-	for {
-		p, data, err := readRecord(br)
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if p == "/" {
-			continue
-		}
-		if err := t.Create(p, data); err != nil {
-			return nil, fmt.Errorf("%w: restore %s: %v", ErrSnapshotCorrupt, p, err)
-		}
-	}
 }

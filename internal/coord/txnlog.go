@@ -119,12 +119,3 @@ func (l *Leader) TruncateTxnLog() error {
 	}
 	return l.txnLog.Reset()
 }
-
-// TxnLogRecords returns the number of intact transactions in the log (0
-// when no log is configured).
-func (l *Leader) TxnLogRecords() int64 {
-	if l.txnLog == nil {
-		return 0
-	}
-	return l.txnLog.Records()
-}

@@ -82,7 +82,7 @@ func (l *Leader) syncChecker() watchdog.Checker {
 // shadow filesystem — one real writeRecord with the captured node.
 func (l *Leader) snapshotChecker(shadow *wdio.FS) watchdog.Checker {
 	site := watchdog.Site{Function: "coord.(*DataTree).SerializeSnapshot", Op: "WriteRecord",
-		File: "internal/coord/snapshot.go", Line: 107}
+		File: "internal/coord/snapshot.go", Line: 73}
 	return watchdog.NewChecker("coord.snapshot", func(ctx *watchdog.Context) error {
 		// Figure 3: if ctx.status != READY the driver never calls us, so the
 		// args are present here.

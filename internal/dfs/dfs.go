@@ -102,9 +102,6 @@ func New(cfg Config) (*DataNode, error) {
 	return dn, nil
 }
 
-// Metrics returns the node's metric registry.
-func (dn *DataNode) Metrics() *gauge.Registry { return dn.mets }
-
 // Injector returns the node's fault injector.
 func (dn *DataNode) Injector() *faultinject.Injector { return dn.inj }
 
@@ -178,27 +175,6 @@ func (dn *DataNode) ReadBlock(id uint64) ([]byte, error) {
 	return data, nil
 }
 
-// DeleteBlock removes a block.
-func (dn *DataNode) DeleteBlock(id uint64) error {
-	dn.mu.Lock()
-	volIdx, ok := dn.blocks[id]
-	if ok {
-		delete(dn.blocks, id)
-	}
-	dn.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoBlock, id)
-	}
-	return os.Remove(filepath.Join(dn.vols[volIdx].dir, blockFileName(id)))
-}
-
-// BlockCount returns the number of live blocks.
-func (dn *DataNode) BlockCount() int {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	return len(dn.blocks)
-}
-
 // ScanBlocks validates the checksum of every block (the DataNode's periodic
 // block scanner). It returns the IDs of corrupt blocks.
 func (dn *DataNode) ScanBlocks() ([]uint64, error) {
@@ -219,20 +195,6 @@ func (dn *DataNode) ScanBlocks() ([]uint64, error) {
 		}
 	}
 	return corrupt, nil
-}
-
-// VolumeDir returns volume i's directory.
-func (dn *DataNode) VolumeDir(i int) string { return dn.vols[i].dir }
-
-// BlockPath returns the on-disk path of a block, for fault-injection tests.
-func (dn *DataNode) BlockPath(id uint64) (string, bool) {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	volIdx, ok := dn.blocks[id]
-	if !ok {
-		return "", false
-	}
-	return filepath.Join(dn.vols[volIdx].dir, blockFileName(id)), true
 }
 
 // writeFileSync writes data and fsyncs before closing.

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,31 +182,8 @@ func (in *Injector) Clear() {
 	in.mu.Unlock()
 }
 
-// Fired reports how many times the fault at point has fired. It reports 0
-// for unarmed points.
-func (in *Injector) Fired(point string) int64 {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if a, ok := in.points[point]; ok {
-		return a.fired.Load()
-	}
-	return 0
-}
-
 // Hanging reports how many goroutines are currently blocked in Hang faults.
 func (in *Injector) Hanging() int64 { return in.hanging.Load() }
-
-// Armed returns the sorted names of all armed points.
-func (in *Injector) Armed() []string {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	names := make([]string, 0, len(in.points))
-	for p := range in.points {
-		names = append(names, p)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // lookup returns the armed fault for point if it should fire now.
 func (in *Injector) lookup(point string) *armed {

@@ -157,17 +157,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add atomically adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -248,45 +237,6 @@ func (w *Window) Mean() float64 {
 	return sum / float64(n)
 }
 
-// Max returns the maximum live observation, or 0 when empty.
-func (w *Window) Max() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := w.lenLocked()
-	if n == 0 {
-		return 0
-	}
-	m := w.buf[0]
-	for i := 1; i < n; i++ {
-		if w.buf[i] > m {
-			m = w.buf[i]
-		}
-	}
-	return m
-}
-
-// Std returns the population standard deviation of the live observations,
-// or 0 when fewer than two are present.
-func (w *Window) Std() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := w.lenLocked()
-	if n < 2 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += w.buf[i]
-	}
-	mean := sum / float64(n)
-	var sq float64
-	for i := 0; i < n; i++ {
-		d := w.buf[i] - mean
-		sq += d * d
-	}
-	return math.Sqrt(sq / float64(n))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of the live observations
 // using nearest-rank on a sorted copy, or 0 when empty.
 func (w *Window) Quantile(q float64) float64 {
@@ -308,6 +258,3 @@ func (w *Window) Quantile(q float64) float64 {
 	}
 	return tmp[idx]
 }
-
-// Default is a process-wide registry for programs that don't need isolation.
-var Default = NewRegistry()

@@ -318,11 +318,6 @@ func (s *Store) Set(key, value []byte) error {
 	return s.apply(record{op: opSet, key: key, value: value}, true)
 }
 
-// Del removes key.
-func (s *Store) Del(key []byte) error {
-	return s.apply(record{op: opDel, key: key}, true)
-}
-
 // Append appends value to the existing value of key (creating it if absent).
 func (s *Store) Append(key, value []byte) error {
 	old, ok, err := s.Get(key)

@@ -40,7 +40,6 @@ func TestStressConcurrentEverything(t *testing.T) {
 		watchdog.WithTimeout(2*time.Second),
 	)
 	store.InstallWatchdog(driver, shadow)
-	store.InstallSignalCheckers(driver, 1<<40, 1<<20) // generous limits: no false alarms
 	var abnormal atomic.Int64
 	driver.OnReport(func(rep watchdog.Report) {
 		if rep.Status.Abnormal() {
@@ -138,31 +137,9 @@ func TestStressConcurrentEverything(t *testing.T) {
 	if n := abnormal.Load(); n != 0 {
 		t.Fatalf("watchdog raised %d abnormal reports on a healthy stressed store", n)
 	}
-	if st, _ := driver.CheckerStats("kvs.flusher"); st.Runs == 0 {
-		t.Fatal("scheduled watchdog never ran during stress")
-	}
-}
-
-func TestInstallSignalCheckersRegistersSuite(t *testing.T) {
-	s := openStore(t, nil)
-	d := watchdog.New()
-	s.InstallSignalCheckers(d, 1<<40, 1<<20)
-	names := d.Checkers()
-	if len(names) != 5 {
-		t.Fatalf("checkers = %v", names)
-	}
-	for _, rep := range d.CheckAll() {
-		if rep.Status.Abnormal() {
-			t.Fatalf("signal checker %s abnormal on idle store: %v", rep.Checker, rep)
+	for _, st := range driver.State() {
+		if st.Name == "kvs.flusher" && st.Runs == 0 {
+			t.Fatal("scheduled watchdog never ran during stress")
 		}
-	}
-}
-
-func TestInstallSignalCheckersOptionalLimits(t *testing.T) {
-	s := openStore(t, nil)
-	d := watchdog.New()
-	s.InstallSignalCheckers(d, 0, 0) // heap/goroutine checkers disabled
-	if len(d.Checkers()) != 3 {
-		t.Fatalf("checkers = %v", d.Checkers())
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"gowatchdog/internal/sstable"
 	"gowatchdog/internal/wal"
 	"gowatchdog/internal/watchdog"
-	"gowatchdog/internal/watchdog/checkers"
 	"gowatchdog/internal/watchdog/wdio"
 )
 
@@ -59,7 +58,7 @@ func (s *Store) InstallWatchdog(d *watchdog.Driver, shadow *wdio.FS) {
 var (
 	flusherSite    = watchdog.Site{Function: "kvs.(*Store).FlushPartition", Op: "sstable.Write", File: "internal/kvs/flush.go", Line: 68}
 	compactionSite = watchdog.Site{Function: "kvs.(*Store).CompactPartition", Op: "sstable.Merge", File: "internal/kvs/flush.go", Line: 167}
-	walSite        = watchdog.Site{Function: "kvs.(*Store).appendMutation", Op: "wal.Append", File: "internal/kvs/store.go", Line: 447}
+	walSite        = watchdog.Site{Function: "kvs.(*Store).appendMutation", Op: "wal.Append", File: "internal/kvs/store.go", Line: 442}
 	indexerSite    = watchdog.Site{Function: "kvs.(*partition).applyToMem", Op: "memtable.Put", File: "internal/kvs/partition.go", Line: 249}
 	partitionSite  = watchdog.Site{Function: "kvs.(*Store).verifyPartition", Op: "sstable.VerifyChecksum", File: "internal/kvs/flush.go", Line: 334}
 	replSite       = watchdog.Site{Function: "kvs.(*replicator).sendOne", Op: "net.Write", File: "internal/kvs/replication.go", Line: 130}
@@ -415,33 +414,6 @@ func (s *Store) replChecker() watchdog.Checker {
 			return nil
 		})
 	})
-}
-
-// InstallSignalCheckers registers the lightweight signal-checker suite
-// (Table 2's middle row) alongside the mimic suite: resource indicators and
-// progress/queue heuristics over the store's metric registry. These are
-// cheap and easy to construct but trade accuracy for it — see the signal
-// detector arm of the campaign package (EXPERIMENTS.md E2).
-func (s *Store) InstallSignalCheckers(d *watchdog.Driver, heapLimit uint64, goroutineLimit int) {
-	ready := func() *watchdog.Context {
-		c := watchdog.NewContext()
-		c.MarkReady()
-		return c
-	}
-	if heapLimit > 0 {
-		d.Register(checkers.HeapLimit("kvs.signal.heap", heapLimit),
-			watchdog.WithContext(ready()))
-	}
-	if goroutineLimit > 0 {
-		d.Register(checkers.GoroutineLimit("kvs.signal.goroutines", goroutineLimit),
-			watchdog.WithContext(ready()))
-	}
-	d.Register(checkers.CounterRising("kvs.signal.errors", "error-rate",
-		s.mets.Counter("kvs.errors")), watchdog.WithContext(ready()))
-	d.Register(checkers.GaugeAbove("kvs.signal.repl-queue", "repl-queue",
-		s.mets.Gauge("kvs.repl.queue"), 896), watchdog.WithContext(ready()))
-	d.Register(checkers.SchedulerDelay("kvs.signal.sched", 5*time.Millisecond,
-		250*time.Millisecond, nil, nil), watchdog.WithContext(ready()))
 }
 
 // ShadowDirFor returns a conventional shadow directory path for a store

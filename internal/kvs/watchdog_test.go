@@ -74,10 +74,14 @@ func TestWatchdogHealthyUnderNormalOperation(t *testing.T) {
 		}
 	}
 	// The hook-gated checkers actually ran (contexts were ready).
+	latest := make(map[string]watchdog.CheckerState)
+	for _, st := range d.State() {
+		latest[st.Name] = st
+	}
 	for _, name := range []string{"kvs.flusher", "kvs.wal", "kvs.indexer"} {
-		rep, ok := d.Latest(name)
-		if !ok || rep.Status != watchdog.StatusHealthy {
-			t.Errorf("%s: %v (ok=%v)", name, rep.Status, ok)
+		st := latest[name]
+		if !st.HasLatest || st.Latest.Status != watchdog.StatusHealthy {
+			t.Errorf("%s: %v (ok=%v)", name, st.Latest.Status, st.HasLatest)
 		}
 	}
 }

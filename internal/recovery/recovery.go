@@ -12,7 +12,6 @@
 package recovery
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -147,11 +146,11 @@ type Manager struct {
 	retries      int
 	retryBase    time.Duration
 	healthyReset time.Duration
-	eventCap     int
+	eventCap     int // event-ring capacity, 1024
 
 	exitArmed bool
 	exitCode  int
-	exitFn    func(int)
+	exitFn    func(int) // os.Exit
 
 	mu        sync.Mutex
 	actions   []Action
@@ -198,10 +197,6 @@ func WithRetry(n int, base time.Duration) Option {
 // escalation window (the default).
 func WithHealthyReset(d time.Duration) Option { return func(m *Manager) { m.healthyReset = d } }
 
-// WithEventCap sets the event-ring capacity (default 1024). Older events are
-// dropped and counted once the ring wraps.
-func WithEventCap(n int) Option { return func(m *Manager) { m.eventCap = n } }
-
 // WithEscalationExit arms the top rung of the ladder: terminate the process
 // with the given exit code so an external supervisor restarts it. It fires
 // when a checker re-alarms past the escalation threshold after the
@@ -217,10 +212,6 @@ func WithEscalationExit(code int) Option {
 	}
 }
 
-// WithExitFunc replaces os.Exit for the escalation-exit rung (test seam —
-// the replacement should not return for production use).
-func WithExitFunc(fn func(code int)) Option { return func(m *Manager) { m.exitFn = fn } }
-
 // New returns a Manager.
 func New(opts ...Option) *Manager {
 	m := &Manager{
@@ -235,9 +226,6 @@ func New(opts ...Option) *Manager {
 	}
 	for _, o := range opts {
 		o(m)
-	}
-	if m.eventCap < 1 {
-		m.eventCap = 1
 	}
 	if m.healthyReset <= 0 {
 		m.healthyReset = m.window
@@ -426,7 +414,7 @@ func (m *Manager) log(e Event) {
 }
 
 // Events returns a copy of the retained recovery log, oldest first. Once
-// more than the event cap (WithEventCap) have been logged, the oldest are
+// more than the event cap (1024) have been logged, the oldest are
 // gone; DroppedEvents counts them.
 func (m *Manager) Events() []Event {
 	m.mu.Lock()
@@ -458,23 +446,4 @@ func (m *Manager) DroppedEvents() int64 {
 		return n
 	}
 	return 0
-}
-
-// Summary renders the log compactly.
-func (m *Manager) Summary() string {
-	var b strings.Builder
-	if dropped := m.DroppedEvents(); dropped > 0 {
-		fmt.Fprintf(&b, "(%d earlier events dropped)\n", dropped)
-	}
-	for _, e := range m.Events() {
-		fmt.Fprintf(&b, "[%s] checker=%s action=%s", e.Kind, e.Checker, e.Action)
-		if e.Attempt > 0 {
-			fmt.Fprintf(&b, " attempt=%d", e.Attempt)
-		}
-		if e.Err != nil {
-			fmt.Fprintf(&b, " err=%v", e.Err)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

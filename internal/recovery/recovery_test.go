@@ -138,29 +138,6 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
-func TestSummaryRendersEvents(t *testing.T) {
-	m := New()
-	m.Register(ForChecker("fix", "kvs", func(watchdog.Report) error { return nil }))
-	m.HandleAlarm(alarmFor("kvs.wal", watchdog.Site{}))
-	s := m.Summary()
-	for _, want := range []string{"recovered", "kvs.wal", "fix"} {
-		if !contains(s, want) {
-			t.Fatalf("summary missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func contains(s, sub string) bool { return len(s) >= len(sub) && (s == sub || index(s, sub) >= 0) }
-
-func index(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
 // TestEndToEndKVSCorruptionRepair is the §5.2 scenario in full: the
 // watchdog's partition checker detects silent corruption, the recovery
 // manager quarantines the corrupt table, and the store — without a restart —
@@ -249,7 +226,8 @@ func TestEndToEndKVSCorruptionRepair(t *testing.T) {
 // oldest-first order once it wraps, and DroppedEvents accounts for the rest —
 // including under concurrent alarm handling (meaningful under -race).
 func TestEventRingOverflow(t *testing.T) {
-	m := New(WithEventCap(4))
+	m := New()
+	m.eventCap = 4
 	m.Register(ForChecker("fix", "c.", func(watchdog.Report) error { return nil }))
 	for i := 0; i < 10; i++ {
 		m.HandleAlarm(alarmFor(fmt.Sprintf("c.%d", i), watchdog.Site{}))
@@ -307,8 +285,8 @@ func TestEscalationExitAfterEscalationRan(t *testing.T) {
 			Fn:         func(watchdog.Report) error { escalated++; return nil },
 		}),
 		WithEscalationExit(70),
-		WithExitFunc(func(code int) { exits = append(exits, code) }),
 	)
+	m.exitFn = func(code int) { exits = append(exits, code) }
 	m.Register(ForChecker("noop", "kvs.", func(watchdog.Report) error { return nil }))
 
 	// Two cheap attempts, then one escalation, then exit.
@@ -341,8 +319,8 @@ func TestEscalationExitWithoutEscalationAction(t *testing.T) {
 		WithClock(v),
 		WithMaxAttempts(2),
 		WithEscalationExit(70),
-		WithExitFunc(func(code int) { exits = append(exits, code) }),
 	)
+	m.exitFn = func(code int) { exits = append(exits, code) }
 	m.Register(ForChecker("noop", "kvs.", func(watchdog.Report) error { return nil }))
 	for i := 0; i < 3; i++ {
 		m.HandleAlarm(alarmFor("kvs.flusher", watchdog.Site{}))
@@ -372,8 +350,8 @@ func TestEscalationExitClearedByHealth(t *testing.T) {
 			Fn:         func(watchdog.Report) error { escalated++; return nil },
 		}),
 		WithEscalationExit(70),
-		WithExitFunc(func(code int) { exits = append(exits, code) }),
 	)
+	m.exitFn = func(code int) { exits = append(exits, code) }
 	m.Register(ForChecker("noop", "kvs.", func(watchdog.Report) error { return nil }))
 
 	m.HandleAlarm(alarmFor("kvs.flusher", watchdog.Site{})) // cheap
@@ -395,7 +373,8 @@ func TestEscalationExitClearedByHealth(t *testing.T) {
 }
 
 func TestTotalEvents(t *testing.T) {
-	m := New(WithEventCap(2))
+	m := New()
+	m.eventCap = 2
 	m.Register(ForChecker("noop", "x", func(watchdog.Report) error { return nil }))
 	for i := 0; i < 5; i++ {
 		m.HandleAlarm(alarmFor("x.y", watchdog.Site{}))

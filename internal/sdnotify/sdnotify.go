@@ -72,9 +72,6 @@ func (n *Notifier) Stopping() error { return n.send("STOPPING=1") }
 // expired immediately.
 func (n *Notifier) Trigger() error { return n.send("WATCHDOG=trigger") }
 
-// Status sends a free-form STATUS= line for `systemctl status` output.
-func (n *Notifier) Status(msg string) error { return n.send("STATUS=" + msg) }
-
 // FeedInterval returns how often the service should feed: a third of the
 // supervisor's advertised $WATCHDOG_USEC timeout (the sd_watchdog_enabled(3)
 // recommendation), or fallback when the variable is unset, unparsable, or

@@ -225,9 +225,6 @@ func (r *Reader) Close() error { return r.f.Close() }
 // Path returns the table's file path.
 func (r *Reader) Path() string { return r.path }
 
-// Count returns the number of entries (tombstones included).
-func (r *Reader) Count() int { return r.count }
-
 // Get returns the value for key. tombstone is true when the table records a
 // deletion for the key; ok is false when the table has no entry at all.
 func (r *Reader) Get(key []byte) (value []byte, tombstone, ok bool, err error) {

@@ -93,14 +93,12 @@ type Episode struct {
 // boundary that only exists in a buffer would not survive the crashes this
 // ledger exists to record.
 type Ledger struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File
-	nextID   int64
-	episodes []*Episode // replayed + live, in open order
-	open     map[int64]*Episode
-	adopted  map[int64]bool // IDs opened by an earlier supervisor run
-	torn     int            // malformed/torn lines skipped during replay
+	mu      sync.Mutex
+	path    string
+	f       *os.File
+	nextID  int64
+	open    map[int64]*Episode
+	adopted map[int64]bool // IDs opened by an earlier supervisor run
 }
 
 // Open replays the ledger at path (creating it if absent) and returns it
@@ -112,16 +110,16 @@ func Open(path string) (*Ledger, error) {
 		open:    make(map[int64]*Episode),
 		adopted: make(map[int64]bool),
 	}
-	records, torn, err := readRecords(path)
+	records, _, err := readRecords(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	l.torn = torn
-	l.episodes, l.open = assemble(records)
+	var replayed []*Episode
+	replayed, l.open = assemble(records)
 	for id := range l.open {
 		l.adopted[id] = true
 	}
-	for _, e := range l.episodes {
+	for _, e := range replayed {
 		if e.ID >= l.nextID {
 			l.nextID = e.ID + 1
 		}
@@ -159,7 +157,6 @@ func (l *Ledger) OpenEpisode(daemon, cause string, at time.Time) (int64, error) 
 	id := l.nextID
 	l.nextID++
 	e := &Episode{ID: id, Daemon: daemon, Cause: cause, OpenedAt: at}
-	l.episodes = append(l.episodes, e)
 	l.open[id] = e
 	return id, l.append(Record{Kind: KindOpen, ID: id, Daemon: daemon, Cause: cause, Time: at})
 }
@@ -211,24 +208,6 @@ func (l *Ledger) OpenFor(daemon string) *Episode {
 		}
 	}
 	return nil
-}
-
-// Episodes returns a copy of every episode, oldest first.
-func (l *Ledger) Episodes() []Episode {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Episode, 0, len(l.episodes))
-	for _, e := range l.episodes {
-		out = append(out, *e)
-	}
-	return out
-}
-
-// TornRecords reports malformed or torn-tail lines skipped during replay.
-func (l *Ledger) TornRecords() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.torn
 }
 
 // append writes one record and flushes it to the OS.

@@ -32,7 +32,7 @@ func TestOpenRestartClose(t *testing.T) {
 	if e := l.OpenFor("kvsd"); e != nil {
 		t.Fatalf("episode still open after close: %+v", e)
 	}
-	eps := l.Episodes()
+	eps := readAll(t, path)
 	if len(eps) != 1 {
 		t.Fatalf("got %d episodes, want 1", len(eps))
 	}
@@ -89,7 +89,7 @@ func TestAdoptionAcrossRestart(t *testing.T) {
 	if err := l2.CloseEpisode(id, ResolutionHealthy, t0().Add(10*time.Second), time.Second); err != nil {
 		t.Fatal(err)
 	}
-	eps := l2.Episodes()
+	eps := readAll(t, path)
 	if len(eps) != 1 || !eps[0].Closed || !eps[0].Adopted {
 		t.Fatalf("episodes = %+v, want one closed adopted episode", eps)
 	}
@@ -151,4 +151,14 @@ func TestCloseUnknownEpisode(t *testing.T) {
 	if err := l.Restart(99, t0()); err == nil {
 		t.Fatal("restarting an unknown episode should error")
 	}
+}
+
+// readAll reads the ledger file the way wdobs and wdstat do.
+func readAll(t *testing.T, path string) []Episode {
+	t.Helper()
+	eps, _, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eps
 }

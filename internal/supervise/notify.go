@@ -75,9 +75,6 @@ func (nl *NotifyListener) Env() []string {
 	}
 }
 
-// Path returns the socket path.
-func (nl *NotifyListener) Path() string { return nl.path }
-
 // Trigger returns the channel delivering WATCHDOG=trigger causes.
 func (nl *NotifyListener) Trigger() <-chan string { return nl.trigger }
 
@@ -106,13 +103,6 @@ func (nl *NotifyListener) Reset(int) {
 	nl.lastFeed = time.Time{}
 	nl.ready = false
 	nl.stopping = false
-}
-
-// State reports the current child's notify state.
-func (nl *NotifyListener) State() (ready, stopping bool, lastFeed time.Time) {
-	nl.mu.Lock()
-	defer nl.mu.Unlock()
-	return nl.ready, nl.stopping, nl.lastFeed
 }
 
 // Close stops the listener and removes the socket.

@@ -109,6 +109,7 @@ func TestTriggerForcesRestart(t *testing.T) {
 	cfg.ProbeEvery = 10 * time.Millisecond
 	cfg.Trigger = nl.Trigger()
 	cfg.OnSpawn = nl.Reset
+	spawns := countSpawns(&cfg)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,30 +118,30 @@ func TestTriggerForcesRestart(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
 
-	waitFor(t, "first spawn", func() bool { return s.Spawns() == 1 })
+	waitFor(t, "first spawn", func() bool { return spawns.Load() == 1 })
 	// The "daemon" feeds once, then its recovery gives up and fires a trigger.
 	client := sdnotify.At(nl.Path())
 	if err := client.Feed(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "feed observed", func() bool { return s.Restarts() == 0 && nl.Probe() == nil })
+	waitFor(t, "feed observed", func() bool { return spawns.Load() == 1 && nl.Probe() == nil })
 	if err := client.Trigger(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "trigger restart", func() bool { return s.Spawns() == 2 })
+	waitFor(t, "trigger restart", func() bool { return spawns.Load() == 2 })
 	// The replacement feeds; the episode closes healthy.
 	waitFor(t, "episode closed after replacement feeds", func() bool {
 		if err := client.Feed(); err != nil {
 			return false
 		}
-		eps := l.Episodes()
+		eps := episodes(t, l)
 		return len(eps) == 1 && eps[0].Closed
 	})
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("Run = %v", err)
 	}
-	e := l.Episodes()[0]
+	e := episodes(t, l)[0]
 	if e.Cause != CauseWatchdogTrigger || e.Resolution != episode.ResolutionHealthy {
 		t.Fatalf("episode = %+v", e)
 	}

@@ -177,18 +177,16 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // Supervisor runs one daemon under crash-restart supervision. Construct with
-// New, drive with Run; Pid/Spawns/Restarts are safe to read concurrently
-// (fault campaigns use them to aim signals at the current child).
+// New, drive with Run; Pid is safe to read concurrently (fault campaigns use
+// it to aim signals at the current child).
 type Supervisor struct {
 	cfg Config
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	mu       sync.Mutex
-	pid      int
-	spawns   int64
-	restarts int64
+	mu  sync.Mutex
+	pid int
 }
 
 // New validates cfg and returns a Supervisor.
@@ -205,20 +203,6 @@ func (s *Supervisor) Pid() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pid
-}
-
-// Spawns returns how many children have been started.
-func (s *Supervisor) Spawns() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spawns
-}
-
-// Restarts returns how many spawns were restarts (spawns minus the first).
-func (s *Supervisor) Restarts() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restarts
 }
 
 // childOutcome describes why one child stopped running.
@@ -340,10 +324,6 @@ func (s *Supervisor) superviseOne(ctx context.Context, openID *int64, isRestart 
 	spawnedAt := time.Now()
 	s.mu.Lock()
 	s.pid = cmd.Process.Pid
-	s.spawns++
-	if s.spawns > 1 {
-		s.restarts++
-	}
 	s.mu.Unlock()
 	s.cfg.Logf("supervise: %s up (pid %d)", s.cfg.Name, cmd.Process.Pid)
 	if s.cfg.OnSpawn != nil {

@@ -25,6 +25,17 @@ func newLedger(t *testing.T) *episode.Ledger {
 	return l
 }
 
+// episodes reads every episode from l's file, oldest first, the way wdobs
+// and wdstat do.
+func episodes(t *testing.T, l *episode.Ledger) []episode.Episode {
+	t.Helper()
+	eps, _, err := episode.Read(l.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eps
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -36,6 +47,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// countSpawns counts the children a supervisor built from cfg starts,
+// through Config.OnSpawn, keeping any hook already set.
+func countSpawns(cfg *Config) *atomic.Int64 {
+	var n atomic.Int64
+	next := cfg.OnSpawn
+	cfg.OnSpawn = func(pid int) {
+		n.Add(1)
+		if next != nil {
+			next(pid)
+		}
+	}
+	return &n
 }
 
 func testConfig(cmd ...string) Config {
@@ -52,15 +77,17 @@ func testConfig(cmd ...string) Config {
 }
 
 func TestCleanExitEndsSupervision(t *testing.T) {
-	s, err := New(testConfig("/bin/sh", "-c", "exit 0"))
+	cfg := testConfig("/bin/sh", "-c", "exit 0")
+	spawns := countSpawns(&cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatalf("Run = %v, want nil on clean exit", err)
 	}
-	if s.Spawns() != 1 || s.Restarts() != 0 {
-		t.Fatalf("spawns=%d restarts=%d, want 1/0", s.Spawns(), s.Restarts())
+	if n := spawns.Load(); n != 1 {
+		t.Fatalf("spawns=%d restarts=%d, want 1/0", n, n-1)
 	}
 }
 
@@ -84,7 +111,7 @@ func TestStormBreaker(t *testing.T) {
 	if storm.Deaths != 3 || storm.LastCause != "exit:1" {
 		t.Fatalf("storm = %+v", storm)
 	}
-	eps := l.Episodes()
+	eps := episodes(t, l)
 	if len(eps) != 1 {
 		t.Fatalf("got %d episodes, want 1: %+v", len(eps), eps)
 	}
@@ -107,6 +134,7 @@ func TestKillRestartHealthyEpisode(t *testing.T) {
 	cfg.Ledger = l
 	cfg.HealthProbe = func() error { return nil }
 	cfg.ProbeEvery = 10 * time.Millisecond
+	spawns := countSpawns(&cfg)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -115,14 +143,14 @@ func TestKillRestartHealthyEpisode(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
 
-	waitFor(t, "first spawn", func() bool { return s.Spawns() == 1 })
+	waitFor(t, "first spawn", func() bool { return spawns.Load() == 1 })
 	pid := s.Pid()
 	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "respawn", func() bool { return s.Spawns() == 2 })
+	waitFor(t, "respawn", func() bool { return spawns.Load() == 2 })
 	waitFor(t, "episode closed healthy", func() bool {
-		eps := l.Episodes()
+		eps := episodes(t, l)
 		return len(eps) == 1 && eps[0].Closed
 	})
 	cancel()
@@ -130,7 +158,7 @@ func TestKillRestartHealthyEpisode(t *testing.T) {
 		t.Fatalf("Run = %v, want nil after cancel", err)
 	}
 
-	e := l.Episodes()[0]
+	e := episodes(t, l)[0]
 	if e.Cause != "signal:killed" || e.Resolution != episode.ResolutionHealthy {
 		t.Fatalf("episode = %+v", e)
 	}
@@ -155,6 +183,7 @@ func TestStuckProbeKill(t *testing.T) {
 	}
 	cfg.ProbeEvery = 10 * time.Millisecond
 	cfg.StuckAfter = 50 * time.Millisecond
+	spawns := countSpawns(&cfg)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -163,12 +192,12 @@ func TestStuckProbeKill(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
 
-	waitFor(t, "first spawn", func() bool { return s.Spawns() == 1 })
+	waitFor(t, "first spawn", func() bool { return spawns.Load() == 1 })
 	wedged.Store(true)
-	waitFor(t, "stuck kill + respawn", func() bool { return s.Spawns() == 2 })
+	waitFor(t, "stuck kill + respawn", func() bool { return spawns.Load() == 2 })
 	wedged.Store(false)
 	waitFor(t, "episode closed", func() bool {
-		eps := l.Episodes()
+		eps := episodes(t, l)
 		return len(eps) == 1 && eps[0].Closed
 	})
 	cancel()
@@ -176,7 +205,7 @@ func TestStuckProbeKill(t *testing.T) {
 		t.Fatalf("Run = %v, want nil after cancel", err)
 	}
 
-	e := l.Episodes()[0]
+	e := episodes(t, l)[0]
 	if e.Cause != CauseStuck || e.Resolution != episode.ResolutionHealthy {
 		t.Fatalf("episode = %+v", e)
 	}
@@ -237,14 +266,14 @@ func TestAdoptionAcrossSupervisors(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
 	waitFor(t, "adopted episode closed", func() bool {
-		eps := l2.Episodes()
+		eps := episodes(t, l2)
 		return len(eps) == 1 && eps[0].Closed
 	})
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("Run = %v", err)
 	}
-	e := l2.Episodes()[0]
+	e := episodes(t, l2)[0]
 	if !e.Adopted || e.Resolution != episode.ResolutionHealthy || e.Cause != "signal:killed" {
 		t.Fatalf("episode = %+v, want adopted healthy close", e)
 	}

@@ -27,13 +27,12 @@ const frameHeader = 8 // 4-byte length + 4-byte CRC
 
 // Log is an append-only write-ahead log. It is safe for concurrent use.
 type Log struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	size   int64
-	recs   int64
-	synced int64  // offset covered by the last successful Sync
-	gen    uint64 // Reset count (Generation)
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	size int64
+	recs int64
+	gen  uint64 // Reset count (Generation)
 	// syncHook, when set, runs inside Sync immediately before the fsync; a
 	// non-nil error aborts the sync. Tests use it to fail or count syncs
 	// (group-commit coalescing and crash-consistency fault injection).
@@ -63,7 +62,6 @@ func Open(path string) (*Log, error) {
 	}
 	l.size = good
 	l.recs = recs
-	l.synced = good // bytes that survived a reopen are on stable storage
 	return l, nil
 }
 
@@ -116,13 +114,13 @@ func (l *Log) Append(payload []byte) error {
 }
 
 // Sync flushes appended records to stable storage. On success every byte
-// appended before the call is durable and SyncedSize advances to cover it.
+// appended before the call is durable.
 //
 // The lock is released for the fsync itself so concurrent Appends proceed
 // while the disk flush is in flight — this is what lets the group committer
 // accumulate the next batch during the current sync instead of convoying
-// every writer behind the syscall. Durability is unaffected: target is
-// captured before the fsync, so it only covers bytes already written.
+// every writer behind the syscall. Durability is unaffected: the fsync
+// covers every byte written before the call.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	if l.f == nil {
@@ -130,7 +128,6 @@ func (l *Log) Sync() error {
 		return errors.New("wal: closed")
 	}
 	f := l.f
-	target := l.size
 	hook := l.syncHook
 	l.mu.Unlock()
 	if hook != nil {
@@ -138,29 +135,11 @@ func (l *Log) Sync() error {
 			return err
 		}
 	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	// Advance the watermark only if the log was not reset or truncated while
-	// the lock was released (callers exclude that, but stay safe).
-	if l.synced < target && target <= l.size {
-		l.synced = target
-	}
-	l.mu.Unlock()
-	return nil
-}
-
-// SyncedSize returns the log offset covered by the last successful Sync:
-// everything at or before it survives a crash, everything after it may not.
-func (l *Log) SyncedSize() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.synced
+	return f.Sync()
 }
 
 // SetSyncHook installs fn to run inside every Sync immediately before the
-// fsync; a non-nil error fails the sync without advancing SyncedSize. It is
+// fsync; a non-nil error fails the sync. It is
 // test instrumentation for group-commit coalescing counts and sync-failure
 // crash consistency; pass nil to remove.
 func (l *Log) SetSyncHook(fn func() error) {
@@ -302,7 +281,6 @@ func (l *Log) Reset() error {
 	}
 	l.size = 0
 	l.recs = 0
-	l.synced = 0
 	l.gen++
 	return l.f.Sync()
 }

@@ -7,23 +7,21 @@ import (
 	"gowatchdog/internal/clock"
 )
 
-// AlarmGate damps alarm flapping: identical alarms — same (checker, site,
+// alarmGate damps alarm flapping: identical alarms — same (checker, site,
 // status) — raised inside a suppression window collapse into the first one,
 // and the next alarm that escapes carries the number of suppressed
 // duplicates in Alarm.Flaps. Recovery handlers and the detection journal see
 // a fault storm as one damped alarm instead of thousands of copies.
 //
-// The driver consults its gate automatically when constructed with
-// WithAlarmDamping; a standalone gate can also wrap an alarm callback for
-// sinks wired outside the driver (see Wrap). All methods are safe for
+// The driver consults its gate when constructed with WithAlarmDamping and
+// counts what it swallows (Driver.AlarmsSuppressed). Admit is safe for
 // concurrent use.
-type AlarmGate struct {
+type alarmGate struct {
 	clk    clock.Clock
 	window time.Duration
 
-	mu         sync.Mutex
-	seen       map[gateKey]*gateEntry
-	suppressed int64
+	mu   sync.Mutex
+	seen map[gateKey]*gateEntry
 }
 
 // gateKey identifies an alarm family for deduplication.
@@ -43,19 +41,16 @@ type gateEntry struct {
 // whose window has long expired are dropped on the next Admit.
 const gatePruneLimit = 1024
 
-// NewAlarmGate returns a gate that suppresses duplicate alarms for window
-// after each escaped alarm. A nil clock means the real clock.
-func NewAlarmGate(clk clock.Clock, window time.Duration) *AlarmGate {
-	if clk == nil {
-		clk = clock.Real()
-	}
-	return &AlarmGate{clk: clk, window: window, seen: make(map[gateKey]*gateEntry)}
+// newAlarmGate returns a gate that suppresses duplicate alarms for window
+// after each escaped alarm.
+func newAlarmGate(clk clock.Clock, window time.Duration) *alarmGate {
+	return &alarmGate{clk: clk, window: window, seen: make(map[gateKey]*gateEntry)}
 }
 
 // Admit decides one alarm's fate. When the alarm escapes, the returned copy
 // carries the suppressed-duplicate count in Flaps and ok is true; when it is
 // suppressed, ok is false and the alarm must not be forwarded.
-func (g *AlarmGate) Admit(a Alarm) (Alarm, bool) {
+func (g *alarmGate) Admit(a Alarm) (Alarm, bool) {
 	key := gateKey{checker: a.Report.Checker, site: a.Report.Site, status: a.Report.Status}
 	now := g.clk.Now()
 	g.mu.Lock()
@@ -69,7 +64,6 @@ func (g *AlarmGate) Admit(a Alarm) (Alarm, bool) {
 		g.seen[key] = e
 	} else if now.Sub(e.lastEscape) < g.window {
 		e.suppressed++
-		g.suppressed++
 		return a, false
 	}
 	a.Flaps = e.suppressed
@@ -80,27 +74,10 @@ func (g *AlarmGate) Admit(a Alarm) (Alarm, bool) {
 
 // pruneLocked drops families whose suppression window expired with nothing
 // pending. Called with g.mu held.
-func (g *AlarmGate) pruneLocked(now time.Time) {
+func (g *alarmGate) pruneLocked(now time.Time) {
 	for k, e := range g.seen {
 		if e.suppressed == 0 && now.Sub(e.lastEscape) >= g.window {
 			delete(g.seen, k)
-		}
-	}
-}
-
-// Suppressed returns the total number of alarms the gate has swallowed.
-func (g *AlarmGate) Suppressed() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.suppressed
-}
-
-// Wrap returns an alarm callback that forwards only escaped alarms to fn,
-// for wiring a gate in front of sinks the driver does not own.
-func (g *AlarmGate) Wrap(fn func(Alarm)) func(Alarm) {
-	return func(a Alarm) {
-		if damped, ok := g.Admit(a); ok {
-			fn(damped)
 		}
 	}
 }

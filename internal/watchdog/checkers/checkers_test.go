@@ -186,7 +186,7 @@ func TestWindowQuantileAbove(t *testing.T) {
 
 func TestMimicPinpoints(t *testing.T) {
 	site := watchdog.Site{Function: "kvs.(*Flusher).flushOnce", Op: "wal.Append", File: "flush.go", Line: 33}
-	c := Mimic("mimic-flush", func(ctx *watchdog.Context) error {
+	c := watchdog.NewChecker("mimic-flush", func(ctx *watchdog.Context) error {
 		return watchdog.Op(ctx, site, func() error { return errors.New("EIO") })
 	})
 	d := watchdog.New()

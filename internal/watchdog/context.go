@@ -160,14 +160,6 @@ func (c *Context) LastSync() (time.Time, bool) {
 	return c.syncAt, !c.syncAt.IsZero()
 }
 
-// Invalidate marks the context not-ready (e.g. after the checked component
-// shuts down) without discarding values.
-func (c *Context) Invalidate() {
-	c.mu.Lock()
-	c.ready = false
-	c.mu.Unlock()
-}
-
 // Snapshot returns a copy of all stored values, used as the report payload.
 func (c *Context) Snapshot() map[string]any {
 	c.mu.RLock()
@@ -202,14 +194,6 @@ func (c *Context) CurrentOp() (Site, bool) {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
 	return c.current, c.inOp
-}
-
-// LastOp returns the most recently entered operation site even after the
-// checker exited it.
-func (c *Context) LastOp() Site {
-	c.opMu.Lock()
-	defer c.opMu.Unlock()
-	return c.current
 }
 
 // Replicator lets context values control their own replication. Types stored
@@ -288,15 +272,4 @@ func (f *Factory) Context(name string) *Context {
 		f.ctxs[name] = c
 	}
 	return c
-}
-
-// Names returns the names of all contexts created so far.
-func (f *Factory) Names() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.ctxs))
-	for n := range f.ctxs {
-		out = append(out, n)
-	}
-	return out
 }

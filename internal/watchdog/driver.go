@@ -32,7 +32,6 @@ type Driver struct {
 	factory         *Factory
 	defaultInterval time.Duration
 	defaultTimeout  time.Duration
-	historyCap      int
 	breakerCfg      BreakerConfig // every checker's breaker; zero = disabled
 	hangBudget      int           // max concurrently-leaked hung goroutines; 0 = unlimited
 	dampWindow      time.Duration // alarm suppression window; 0 = no damping
@@ -44,12 +43,11 @@ type Driver struct {
 	listeners    []func(Report)
 	alarmFns     []func(Alarm)
 	obs          Observer
-	history      []Report
 	running      bool
 	stop         chan struct{}
 	wg           sync.WaitGroup
 	rng          *rand.Rand // breaker backoff jitter; guarded by mu
-	gate         *AlarmGate // non-nil when dampWindow > 0
+	gate         *alarmGate // non-nil when dampWindow > 0
 	leakedHung   int        // hung checker goroutines currently awaiting reaping
 	breakerSkips int64      // executions skipped because a breaker was open
 	budgetSkips  int64      // executions skipped because the hang budget was exhausted
@@ -96,9 +94,6 @@ func WithInterval(iv time.Duration) Option { return func(d *Driver) { d.defaultI
 // WithTimeout sets the default liveness timeout (default 6s, the paper's
 // case-study configuration: 1s interval + 6s timeout ≈ 7s detection).
 func WithTimeout(to time.Duration) Option { return func(d *Driver) { d.defaultTimeout = to } }
-
-// WithHistory sets how many reports the driver retains (default 1024).
-func WithHistory(n int) Option { return func(d *Driver) { d.historyCap = n } }
 
 // WithFactory shares an existing context factory (e.g. one the generated
 // hooks already write into).
@@ -151,7 +146,6 @@ func New(opts ...Option) *Driver {
 		clk:             clock.Real(),
 		defaultInterval: time.Second,
 		defaultTimeout:  6 * time.Second,
-		historyCap:      1024,
 		jitterSeed:      1,
 		checkers:        make(map[string]*registered),
 		stop:            make(chan struct{}),
@@ -164,7 +158,7 @@ func New(opts ...Option) *Driver {
 	}
 	d.rng = rand.New(rand.NewSource(d.jitterSeed))
 	if d.dampWindow > 0 {
-		d.gate = NewAlarmGate(d.clk, d.dampWindow)
+		d.gate = newAlarmGate(d.clk, d.dampWindow)
 	}
 	return d
 }
@@ -570,10 +564,6 @@ func (d *Driver) record(r *registered, rep Report) {
 			r.brkFailures = 0
 		}
 	}
-	d.history = append(d.history, rep)
-	if len(d.history) > d.historyCap {
-		d.history = d.history[len(d.history)-d.historyCap:]
-	}
 	listeners := d.listeners
 	alarmFns := d.alarmFns
 	validator := r.validator
@@ -704,17 +694,6 @@ func (d *Driver) AlarmsSuppressed() int64 {
 	return d.suppressed
 }
 
-// Latest returns the most recent report for the named checker.
-func (d *Driver) Latest(name string) (Report, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r, ok := d.checkers[name]
-	if !ok || !r.hasLatest {
-		return Report{}, false
-	}
-	return r.latest, true
-}
-
 // Healthy reports whether no checker is currently in an abnormal state.
 func (d *Driver) Healthy() bool {
 	d.mu.Lock()
@@ -727,15 +706,6 @@ func (d *Driver) Healthy() bool {
 	return true
 }
 
-// History returns a copy of the retained reports, oldest first.
-func (d *Driver) History() []Report {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]Report, len(d.history))
-	copy(out, d.history)
-	return out
-}
-
 // Checkers returns the sorted names of all registered checkers.
 func (d *Driver) Checkers() []string {
 	d.mu.Lock()
@@ -743,27 +713,6 @@ func (d *Driver) Checkers() []string {
 	out := append([]string(nil), d.order...)
 	sort.Strings(out)
 	return out
-}
-
-// Stats summarizes one checker's execution counters.
-type Stats struct {
-	// Runs is the number of completed executions (including skips).
-	Runs int64
-	// Abnormal is the number of abnormal reports.
-	Abnormal int64
-	// Consecutive is the current abnormal streak.
-	Consecutive int
-}
-
-// CheckerStats returns counters for the named checker.
-func (d *Driver) CheckerStats(name string) (Stats, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r, ok := d.checkers[name]
-	if !ok {
-		return Stats{}, false
-	}
-	return Stats{Runs: r.runs, Abnormal: r.abnormal, Consecutive: r.consecutive}, true
 }
 
 // CheckerState is a point-in-time view of one registered checker: its
@@ -779,7 +728,9 @@ type CheckerState struct {
 	Timeout  time.Duration
 	// Threshold is the consecutive-abnormal count that raises an alarm.
 	Threshold int
-	// Runs, Abnormal, and Consecutive mirror Stats.
+	// Runs is the number of completed executions (including skips),
+	// Abnormal the number of abnormal reports, and Consecutive the current
+	// abnormal streak.
 	Runs        int64
 	Abnormal    int64
 	Consecutive int

@@ -107,7 +107,7 @@ func TestPanicOutsideOpIsConfined(t *testing.T) {
 }
 
 func TestSlowClassification(t *testing.T) {
-	v := clock.NewVirtualAt(time.Unix(0, 0))
+	v := clock.NewVirtual()
 	d := New(WithClock(v))
 	site := Site{Function: "f", Op: "slowop"}
 	d.Register(NewChecker("slow", func(ctx *Context) error {
@@ -333,7 +333,7 @@ func TestStopHaltsScheduling(t *testing.T) {
 	d.Stop()
 	// After Stop, ticks do nothing.
 	v.Advance(10 * time.Second)
-	if st, _ := d.CheckerStats("x"); st.Runs > 10 {
+	if st := stateOf(t, d, "x"); st.Runs > 10 {
 		t.Fatalf("runs after stop = %d", st.Runs)
 	}
 	// Stop twice is fine; Start again works.
@@ -405,37 +405,36 @@ func TestPauseResume(t *testing.T) {
 	}
 }
 
-func TestHistoryBounded(t *testing.T) {
-	d := New(WithHistory(5))
-	d.Register(healthyChecker("h"))
-	d.Factory().Context("h").MarkReady()
-	for i := 0; i < 12; i++ {
-		d.CheckNow("h")
+// stateOf returns the named checker's entry in d.State().
+func stateOf(t *testing.T, d *Driver, name string) CheckerState {
+	t.Helper()
+	for _, cs := range d.State() {
+		if cs.Name == name {
+			return cs
+		}
 	}
-	if got := len(d.History()); got != 5 {
-		t.Fatalf("history length = %d, want 5", got)
-	}
+	t.Fatalf("no checker %q in State()", name)
+	return CheckerState{}
 }
 
 func TestCheckerStatsAndLatest(t *testing.T) {
 	d := New()
 	d.Register(NewChecker("s", func(*Context) error { return errors.New("x") }))
 	d.Factory().Context("s").MarkReady()
-	if _, ok := d.Latest("s"); ok {
+	if stateOf(t, d, "s").HasLatest {
 		t.Fatal("Latest before any run")
 	}
 	d.CheckNow("s")
 	d.CheckNow("s")
-	st, ok := d.CheckerStats("s")
-	if !ok || st.Runs != 2 || st.Abnormal != 2 || st.Consecutive != 2 {
-		t.Fatalf("stats = %+v, ok=%v", st, ok)
+	st := stateOf(t, d, "s")
+	if st.Runs != 2 || st.Abnormal != 2 || st.Consecutive != 2 {
+		t.Fatalf("stats = %+v", st)
 	}
-	rep, ok := d.Latest("s")
-	if !ok || rep.Status != StatusError {
-		t.Fatalf("latest = %v, %v", rep, ok)
+	if !st.HasLatest || st.Latest.Status != StatusError {
+		t.Fatalf("latest = %v, %v", st.Latest, st.HasLatest)
 	}
-	if _, ok := d.CheckerStats("ghost"); ok {
-		t.Fatal("stats for unknown checker")
+	if n := len(d.State()); n != 1 {
+		t.Fatalf("State has %d checkers, want 1 (no stats for unknown checkers)", n)
 	}
 }
 

@@ -154,8 +154,8 @@ func TestContextLastSync(t *testing.T) {
 	if !ok || at.IsZero() {
 		t.Errorf("LastSync after Put = %v, %v", at, ok)
 	}
-	c.Invalidate()
-	if _, ok := c.LastSync(); !ok {
-		t.Error("Invalidate erased the sync timestamp")
+	c.MarkReady()
+	if again, ok := c.LastSync(); !ok || again.Before(at) {
+		t.Errorf("LastSync after MarkReady = %v, %v; want at or after %v", again, ok, at)
 	}
 }

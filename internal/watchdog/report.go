@@ -250,9 +250,9 @@ type Alarm struct {
 	// Validated is nil when no validator is configured; otherwise it points
 	// to the validator's verdict (true = fault confirmed impactful).
 	Validated *bool `json:"validated,omitempty"`
-	// Flaps counts identical alarms an AlarmGate suppressed since the last
-	// alarm it let through for this (checker, site, status); zero when no
-	// damping is configured or nothing flapped.
+	// Flaps counts identical alarms the driver's damping gate suppressed
+	// since the last alarm it let through for this (checker, site, status);
+	// zero when no damping is configured or nothing flapped.
 	Flaps int `json:"flaps,omitempty"`
 }
 

@@ -14,7 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
+	"sync"
 )
 
 // ErrQuota is returned when a write would push the shadow directory past its
@@ -24,10 +24,16 @@ var ErrQuota = errors.New("wdio: shadow quota exceeded")
 // FS is a shadow filesystem rooted in a directory. All paths are interpreted
 // relative to the root; escaping the root is an error. FS is safe for
 // concurrent use.
+//
+// The quota counts the bytes WriteFile wrote. Files a checker writes itself
+// at a PreparePath path are not counted, so removing one releases nothing.
 type FS struct {
 	root  string
 	quota int64
-	used  atomic.Int64
+
+	mu      sync.Mutex
+	used    int64            // bytes WriteFile counted and not yet released
+	written map[string]int64 // resolved path → bytes WriteFile counted for it
 }
 
 // NewFS creates (if needed) the shadow root directory and returns an FS with
@@ -39,15 +45,8 @@ func NewFS(root string, quota int64) (*FS, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("wdio: create shadow root: %w", err)
 	}
-	return &FS{root: root, quota: quota}, nil
+	return &FS{root: root, quota: quota, written: make(map[string]int64)}, nil
 }
-
-// Root returns the shadow root directory.
-func (f *FS) Root() string { return f.root }
-
-// Used returns the number of bytes written through this FS and not yet
-// released by Cleanup.
-func (f *FS) Used() int64 { return f.used.Load() }
 
 // Path resolves rel inside the shadow root. It returns an error if rel
 // escapes the root.
@@ -81,29 +80,45 @@ func (f *FS) WriteFile(rel string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if f.used.Add(int64(len(data))) > f.quota {
-		f.used.Add(-int64(len(data)))
+	n := int64(len(data))
+	f.mu.Lock()
+	if f.used+n > f.quota {
+		f.mu.Unlock()
 		return ErrQuota
 	}
+	f.used += n
+	f.mu.Unlock()
+	wrote, err := writeSynced(full, data)
+	f.mu.Lock()
+	if wrote {
+		f.used -= f.written[full] // an overwrite releases the bytes it replaced
+		f.written[full] = n
+	} else {
+		f.used -= n
+	}
+	f.mu.Unlock()
+	return err
+}
+
+// writeSynced creates full with data and syncs it. wrote reports whether
+// data reached the file, even when the sync or close then failed.
+func writeSynced(full string, data []byte) (wrote bool, err error) {
 	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-		f.used.Add(-int64(len(data)))
-		return err
+		return false, err
 	}
 	file, err := os.OpenFile(full, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		f.used.Add(-int64(len(data)))
-		return err
+		return false, err
 	}
 	if _, err := file.Write(data); err != nil {
 		file.Close()
-		f.used.Add(-int64(len(data)))
-		return err
+		return false, err
 	}
 	if err := file.Sync(); err != nil {
 		file.Close()
-		return err
+		return true, err
 	}
-	return file.Close()
+	return true, file.Close()
 }
 
 // ReadFile reads rel from the shadow.
@@ -115,34 +130,21 @@ func (f *FS) ReadFile(rel string) ([]byte, error) {
 	return os.ReadFile(full)
 }
 
-// Remove deletes rel from the shadow. Quota accounting is adjusted by the
-// file's size when it can be determined.
+// Remove deletes rel from the shadow and releases the bytes WriteFile
+// counted for it.
 func (f *FS) Remove(rel string) error {
 	full, err := f.Path(rel)
 	if err != nil {
 		return err
 	}
-	if fi, err := os.Stat(full); err == nil && !fi.IsDir() {
-		f.used.Add(-fi.Size())
-	}
-	return os.Remove(full)
-}
-
-// Cleanup removes everything under the shadow root and resets the quota
-// accounting. The root itself is kept so the FS remains usable.
-func (f *FS) Cleanup() error {
-	entries, err := os.ReadDir(f.root)
-	if err != nil {
+	if err := os.Remove(full); err != nil {
 		return err
 	}
-	var firstErr error
-	for _, e := range entries {
-		if err := os.RemoveAll(filepath.Join(f.root, e.Name())); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	f.used.Store(0)
-	return firstErr
+	f.mu.Lock()
+	f.used -= f.written[full]
+	delete(f.written, full)
+	f.mu.Unlock()
+	return nil
 }
 
 // RoundTrip writes data to rel, reads it back, verifies the contents match,

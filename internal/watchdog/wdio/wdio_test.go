@@ -2,9 +2,11 @@ package wdio
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -227,5 +229,63 @@ func TestRoundTripProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 20}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoveUncountsOnlyWrittenBytes: a checker that writes at a PreparePath
+// path with its own writer (as kvs's flusher and merge checkers do) and then
+// removes the file must not drive the quota negative, or a later WriteFile
+// passes a quota it exceeds. An overwrite replaces its file's count.
+func TestRemoveUncountsOnlyWrittenBytes(t *testing.T) {
+	fs := newFS(t, 1<<20)
+	table := make([]byte, 64<<10)
+	for i := 0; i < 20; i++ {
+		full, err := fs.PreparePath("flusher/p0.sst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, table, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Remove("flusher/p0.sst"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs.Used() != 0 {
+		t.Fatalf("Used after removing uncounted files = %d, want 0", fs.Used())
+	}
+	if err := fs.WriteFile("big", make([]byte, 2<<20)); !errors.Is(err, ErrQuota) {
+		t.Fatalf("2 MiB WriteFile under a 1 MiB quota: err = %v, want ErrQuota", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := fs.WriteFile("same", []byte("12345")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs.Used() != 5 {
+		t.Fatalf("Used after three writes of one 5-byte file = %d, want 5", fs.Used())
+	}
+}
+
+// TestConcurrentRoundTripsRelease: checkers share one FS; concurrent round
+// trips leave nothing counted once they return.
+func TestConcurrentRoundTripsRelease(t *testing.T) {
+	fs := newFS(t, 1<<20)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				rel := fmt.Sprintf("g%d/probe", g)
+				if err := fs.RoundTrip(rel, []byte("payload")); err != nil {
+					t.Errorf("RoundTrip(%s): %v", rel, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if fs.Used() != 0 {
+		t.Fatalf("Used after concurrent round trips = %d, want 0", fs.Used())
 	}
 }

@@ -466,8 +466,7 @@ func collectReads(u *Unit) map[string]*readRecord {
 							}
 						}
 						r.wildcard = true
-					case "Snapshot", "Version", "Ready", "LastOp", "CurrentOp",
-						"EnterOp", "ExitOp":
+					case "Snapshot", "Version", "Ready", "CurrentOp", "EnterOp", "ExitOp":
 						// Metadata accessors, not key reads.
 					default:
 						// Unknown use of the context object.

@@ -101,8 +101,7 @@ var sinkMethods = map[string]bool{
 // consumeMethods read driver verdicts on demand, which is a legitimate
 // alternative to a push sink (tests and experiments poll).
 var consumeMethods = map[string]bool{
-	"CheckNow": true, "CheckAll": true, "Latest": true, "History": true,
-	"CheckerStats": true, "Healthy": true, "State": true,
+	"CheckNow": true, "CheckAll": true, "Healthy": true, "State": true,
 }
 
 // checkSinkless flags drivers constructed with watchdog.New, started in the
@@ -258,7 +257,7 @@ func constInt(p *Package, e ast.Expr) (int64, bool) {
 // registeredName statically resolves the checker name of a Register call's
 // first argument: watchdog.NewChecker("name", ...), a CheckFunc literal, or
 // any call whose first argument is a constant string (the checkers package
-// convention: checkers.HeapLimit("name", ...)).
+// convention: checkers.GaugeAbove("name", ...)).
 func registeredName(p *Package, arg ast.Expr) (string, bool) {
 	switch arg := arg.(type) {
 	case *ast.CallExpr:
@@ -268,7 +267,7 @@ func registeredName(p *Package, arg ast.Expr) (string, bool) {
 		if watchdogFunc(p, arg.Fun) == "NewChecker" {
 			return constString(p, arg.Args[0])
 		}
-		// checkers.HeapLimit("name", ...) and friends: only trust the
+		// checkers.GaugeAbove("name", ...) and friends: only trust the
 		// convention when the first argument is a constant string AND the
 		// callee is package-qualified (local constructors usually bake the
 		// name in, so a shared first argument would be a false positive).

@@ -18,7 +18,7 @@ import (
 //     (selector, index, or pointer paths reach objects that pre-exist the
 //     checker and may be shared with the main program),
 //   - send on captured or package-level channels,
-//   - write its own context (Put/PutAll/MarkReady/Invalidate): context
+//   - write its own context (Put/PutAll/MarkReady): context
 //     synchronization is strictly one-way, hook → checker.
 //
 // Intra-package functions called from a checker (up to a small depth) are
@@ -37,8 +37,7 @@ func (*IsolationAnalyzer) Doc() string {
 // ctxWriteMethods are Context methods that mutate watchdog state; checkers
 // must never call them on their own context.
 var ctxWriteMethods = map[string]bool{
-	"Put": true, "PutAll": true, "MarkReady": true, "Invalidate": true,
-	"Replicate": true,
+	"Put": true, "PutAll": true, "MarkReady": true, "Replicate": true,
 }
 
 // calleeDepth bounds the intra-package call-chain walk from checker bodies.

@@ -99,9 +99,6 @@ func modulePath(gomod []byte) string {
 	return ""
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Expand resolves command-line package patterns into directories. A pattern
 // ending in "/..." walks the tree below it (skipping testdata, vendor,
 // hidden directories, and — as the go tool does — nested modules, which are
@@ -122,26 +119,12 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 			if root == "" {
 				root = "."
 			}
-			err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != root && (name == "testdata" || name == "vendor" ||
-					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-					fileExists(filepath.Join(path, "go.mod"))) {
-					return filepath.SkipDir
-				}
-				if hasGoFiles(path) {
-					add(path)
-				}
-				return nil
-			})
+			found, err := packageDirs(root, func(string) bool { return false })
 			if err != nil {
 				return nil, fmt.Errorf("wdlint: expand %q: %w", pat, err)
+			}
+			for _, d := range found {
+				add(d)
 			}
 			continue
 		}
@@ -152,6 +135,29 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+// packageDirs walks root for directories holding non-test Go files. It skips
+// testdata, vendor and hidden directories, and nested modules unless
+// enterModule accepts them.
+func packageDirs(root string, enterModule func(dir string) bool) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != root && (name == "testdata" || name == "vendor" ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			fileExists(filepath.Join(path, "go.mod")) && !enterModule(path)) {
+			return filepath.SkipDir
+		}
+		if hasGoFiles(path) {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 func fileExists(path string) bool {

@@ -3,7 +3,8 @@
 // The watchdog abstraction (§3 of the paper) only delivers its guarantees —
 // side-effect isolation, accurate hang pinpointing, synchronized contexts —
 // when checker code follows a handful of conventions that the compiler does
-// not enforce. wdlint closes that gap with six analyzers:
+// not enforce. wdlint closes that gap with six analyzers, and a seventh
+// keeps the module's exported surface honest:
 //
 //	isolation   checkers must not mutate state shared with the main program
 //	            (§3.2: "watchdogs should not incur side effects")
@@ -17,6 +18,8 @@
 //	            or hand-wired wdmesh.New
 //	genfresh    *_wd_gen.go files must match the current AutoWatchdog
 //	            generator output (§4)
+//	testonly    exported identifiers of library packages that only tests
+//	            reference (info level)
 //
 // Findings can be suppressed with a comment directive:
 //
@@ -131,6 +134,7 @@ func All() []Analyzer {
 		&DriverCfgAnalyzer{},
 		&RuntimeCfgAnalyzer{},
 		&GenFreshAnalyzer{},
+		&TestOnlyAnalyzer{},
 	}
 }
 

@@ -269,3 +269,34 @@ func TestSeverityRoundTrip(t *testing.T) {
 		t.Error("ParseSeverity(fatal) succeeded")
 	}
 }
+
+func TestTestOnlyFixture(t *testing.T) {
+	diags := lint(t, &TestOnlyAnalyzer{}, "testonlybad")
+	wantDiag(t, diags, "testonlybad.Widget.Polish ")
+	wantDiag(t, diags, "testonlybad.Describe ")
+	wantDiag(t, diags, "testonlybad.Limit ")
+	// NewWidget and Default have a production caller; Name and String
+	// satisfy interfaces.
+	if len(diags) != 3 {
+		t.Fatalf("want 3 testonly findings, got %d:\n%s", len(diags), render(diags))
+	}
+	for _, d := range diags {
+		if d.Severity != SevInfo {
+			t.Errorf("testonly finding above info: %s", d)
+		}
+	}
+}
+
+// TestTestOnlyCountsBenchmarkUses: the benchmark module's non-test files are
+// use sites, so kvs.SyncNone, which only the benchmark names, is not listed.
+func TestTestOnlyCountsBenchmarkUses(t *testing.T) {
+	diags, err := Run(".", []string{"../kvs"}, []Analyzer{&TestOnlyAnalyzer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		if strings.Contains(d.Message, "kvs.SyncNone ") {
+			t.Errorf("benchmark use missed: %s", d)
+		}
+	}
+}

@@ -60,10 +60,6 @@ func (n *MemNetwork) Detach(name string) {
 	n.mu.Unlock()
 }
 
-// Wait blocks until all delayed deliveries have completed; tests call it
-// before asserting on receive counts.
-func (n *MemNetwork) Wait() { n.wg.Wait() }
-
 // MemTransport is one node's endpoint on a MemNetwork.
 type MemTransport struct {
 	net  *MemNetwork

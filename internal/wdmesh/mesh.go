@@ -321,12 +321,6 @@ func ceilLog2(n int) int {
 	return bits
 }
 
-// Self returns this node's mesh identity.
-func (m *Mesh) Self() string { return m.cfg.Self }
-
-// Quorum returns the effective corroboration quorum.
-func (m *Mesh) Quorum() int { return m.cfg.Quorum }
-
 // SuspectAfter returns the effective suspicion window (after scale-aware
 // defaulting), so campaigns can budget detection phases against it.
 func (m *Mesh) SuspectAfter() time.Duration { return m.cfg.SuspectAfter }
@@ -652,17 +646,6 @@ func (m *Mesh) Observation(node string) string {
 		return ObsUnreachable
 	}
 	return m.observationLocked(i, m.clk.Now().Add(-m.cfg.SuspectAfter))
-}
-
-// KnownDigest returns the freshest digest held for a node, if any.
-func (m *Mesh) KnownDigest(node string) (Digest, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	i, ok := m.byName[node]
-	if !ok || !m.present[i] {
-		return Digest{}, false
-	}
-	return m.digests[i], true
 }
 
 // KnownCount returns how many peers this node holds a digest for — the

@@ -104,8 +104,8 @@ func TestNewValidation(t *testing.T) {
 	if m.cfg.Interval != time.Second || m.cfg.SuspectAfter != 4*time.Second {
 		t.Fatalf("defaults: interval=%v suspectAfter=%v", m.cfg.Interval, m.cfg.SuspectAfter)
 	}
-	if m.Quorum() != 2 || m.Self() != "a" {
-		t.Fatalf("accessors: quorum=%d self=%q", m.Quorum(), m.Self())
+	if snap := m.Snapshot(); snap.Quorum != 2 || snap.Self != "a" {
+		t.Fatalf("accessors: quorum=%d self=%q", snap.Quorum, snap.Self)
 	}
 }
 

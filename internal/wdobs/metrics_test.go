@@ -26,10 +26,10 @@ func TestCounter(t *testing.T) {
 	o.ObserveReport(rep(watchdog.Status(numStatuses)), watchdog.StatusError, false)
 	o.ObserveAlarm(watchdog.Alarm{Report: rep(watchdog.StatusError), Consecutive: 2})
 
-	if got := o.Reports(); got != 5 {
+	if got := o.Snapshot().Reports; got != 5 {
 		t.Errorf("Reports = %d, want 5", got)
 	}
-	if got := o.Alarms(); got != 1 {
+	if got := o.Snapshot().Alarms; got != 1 {
 		t.Errorf("Alarms = %d, want 1", got)
 	}
 	cm := o.checker("c")
@@ -65,7 +65,7 @@ func TestCounterConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := o.Reports(); got != writers*perWriter {
+	if got := o.Snapshot().Reports; got != writers*perWriter {
 		t.Fatalf("Reports = %d, want %d", got, writers*perWriter)
 	}
 	var runs int64

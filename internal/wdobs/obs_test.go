@@ -43,15 +43,15 @@ func driveObs(t *testing.T, o *Obs, failRuns int) *watchdog.Driver {
 
 func TestObsCountsAndJournal(t *testing.T) {
 	var sink bytes.Buffer
-	o := New(WithJournal(64), WithSink(&sink))
+	o := New(WithSink(&sink))
 	driveObs(t, o, 2)
 
 	// 4 executions total: ok×1, flaky×3 (1 healthy + 2 errors).
-	if got := o.Reports(); got != 4 {
+	if got := o.Snapshot().Reports; got != 4 {
 		t.Errorf("Reports = %d, want 4", got)
 	}
 	// Threshold 2 → one alarm on the second consecutive error.
-	if got := o.Alarms(); got != 1 {
+	if got := o.Snapshot().Alarms; got != 1 {
 		t.Errorf("Alarms = %d, want 1", got)
 	}
 

@@ -45,8 +45,7 @@ type checkerMetrics struct {
 // wire it with Attach before the driver starts, and expose it with Serve.
 // All methods are safe for concurrent use.
 type Obs struct {
-	journalCap int
-	sinkW      io.Writer
+	sinkW io.Writer
 
 	mu       sync.RWMutex
 	checkers map[string]*checkerMetrics
@@ -72,9 +71,6 @@ type Obs struct {
 // Option configures an Obs.
 type Option func(*Obs)
 
-// WithJournal sets the journal ring capacity (default 512).
-func WithJournal(capacity int) Option { return func(o *Obs) { o.journalCap = capacity } }
-
 // WithSink streams every journal event to w as JSONL.
 func WithSink(w io.Writer) Option { return func(o *Obs) { o.sinkW = w } }
 
@@ -85,13 +81,12 @@ func WithRegistry(r *gauge.Registry) Option { return func(o *Obs) { o.registry =
 // New returns an Obs with the given options applied.
 func New(opts ...Option) *Obs {
 	o := &Obs{
-		journalCap: 512,
-		checkers:   make(map[string]*checkerMetrics),
+		checkers: make(map[string]*checkerMetrics),
+		journal:  NewJournal(512),
 	}
 	for _, opt := range opts {
 		opt(o)
 	}
-	o.journal = NewJournal(o.journalCap)
 	if o.sinkW != nil {
 		o.journal.SetSink(o.sinkW)
 	}
@@ -167,9 +162,3 @@ func (o *Obs) ObserveAlarm(a watchdog.Alarm) {
 		Validated:   a.Validated,
 	})
 }
-
-// Reports returns the total number of observed checker executions.
-func (o *Obs) Reports() int64 { return o.reports.Value() }
-
-// Alarms returns the total number of observed alarms.
-func (o *Obs) Alarms() int64 { return o.alarms.Value() }

@@ -1,14 +1,11 @@
 package wdruntime_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -23,11 +20,11 @@ import (
 // through the journal tap into the engine, the rule fires, the firing lands in
 // the journal as KindCEP, and the synthesized alarm reaches driver listeners.
 func TestCEPFiringSynthesizesAlarm(t *testing.T) {
-	var sink bytes.Buffer
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	rt, err := wdruntime.New(
 		wdruntime.WithInterval(2*time.Millisecond),
 		wdruntime.WithTimeout(time.Second),
-		wdruntime.WithJournalSink(&sink),
+		wdruntime.WithJournalPath(journal),
 		wdruntime.WithCEPRules(wdcep.Consecutive("streak", 3).OnChecker("flaky")),
 	)
 	if err != nil {
@@ -78,12 +75,8 @@ func TestCEPFiringSynthesizesAlarm(t *testing.T) {
 		t.Fatalf("no synthesized wdcep alarm among %d alarms", len(alarms))
 	}
 
-	events, _, err := wdobs.ReadJournalLenient(&sink)
-	if err != nil {
-		t.Fatalf("ReadJournalLenient: %v", err)
-	}
 	var cepEvents int
-	for _, e := range events {
+	for _, e := range readJournal(t, journal) {
 		if e.Kind == wdobs.KindCEP {
 			cepEvents++
 			if e.Rule != "streak" || e.Report.Checker != "wdcep.streak" {
@@ -92,7 +85,7 @@ func TestCEPFiringSynthesizesAlarm(t *testing.T) {
 		}
 	}
 	if cepEvents == 0 {
-		t.Fatal("no KindCEP event reached the journal sink")
+		t.Fatal("no KindCEP event reached the journal file")
 	}
 }
 
@@ -101,13 +94,13 @@ func TestCEPFiringSynthesizesAlarm(t *testing.T) {
 // The firing must neither deadlock the shutdown — OnFire appends to the
 // journal whose tap publishes back into the engine, all under the engine
 // lock — nor lose its journal entry: the KindCEP event must be in the ring
-// and flushed to the sink.
+// and in the journal file.
 func TestCEPFireDuringClose(t *testing.T) {
-	var sink bytes.Buffer
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	rt, err := wdruntime.New(
 		wdruntime.WithInterval(2*time.Millisecond),
 		wdruntime.WithTimeout(time.Second),
-		wdruntime.WithJournalSink(&sink),
+		wdruntime.WithJournalPath(journal),
 		wdruntime.WithCEPRules(wdcep.Consecutive("late", 2).OnChecker("flaky")),
 		wdruntime.WithCEPEvalEvery(time.Hour),
 	)
@@ -153,15 +146,21 @@ func TestCEPFireDuringClose(t *testing.T) {
 	if !inRing {
 		t.Fatal("KindCEP entry missing from the journal ring")
 	}
-	if !strings.Contains(sink.String(), `"kind":"cep"`) {
-		t.Fatal("KindCEP entry missing from the flushed sink")
+	var inFile bool
+	for _, e := range readJournal(t, journal) {
+		if e.Kind == wdobs.KindCEP && e.Rule == "late" {
+			inFile = true
+		}
+	}
+	if !inFile {
+		t.Fatal("KindCEP entry missing from the journal file")
 	}
 }
 
 // TestRecoveryEventsJournaled proves recovery-manager outcomes land in the
 // journal as KindRecovery entries with outcome/action/attempt populated.
 func TestRecoveryEventsJournaled(t *testing.T) {
-	var sink bytes.Buffer
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	rec := recovery.New()
 	rec.Register(recovery.ForChecker("fix-flaky", "flaky", func(watchdog.Report) error {
 		return nil // repair succeeds
@@ -169,7 +168,7 @@ func TestRecoveryEventsJournaled(t *testing.T) {
 	rt, err := wdruntime.New(
 		wdruntime.WithInterval(2*time.Millisecond),
 		wdruntime.WithTimeout(time.Second),
-		wdruntime.WithJournalSink(&sink),
+		wdruntime.WithJournalPath(journal),
 		wdruntime.WithRecovery(rec),
 	)
 	if err != nil {
@@ -236,12 +235,7 @@ func TestCEPRulesFileFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := wdruntime.BindFlags(fs)
-	if err := fs.Parse([]string{"-wd-rules", path}); err != nil {
-		t.Fatal(err)
-	}
-	rt, err := wdruntime.New(wdruntime.FromConfig(f))
+	rt, err := wdruntime.New(wdruntime.FromConfig(daemonConfig(t, "-wd-rules", path)))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -258,7 +252,8 @@ func TestCEPRulesFileFlag(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	if _, err := wdruntime.New(wdruntime.WithCEPRulesFile(filepath.Join(dir, "missing.json"))); err == nil {
+	missing := daemonConfig(t, "-wd-rules", filepath.Join(dir, "missing.json"))
+	if _, err := wdruntime.New(wdruntime.FromConfig(missing)); err == nil {
 		t.Fatal("New with a missing rule file should fail")
 	}
 }

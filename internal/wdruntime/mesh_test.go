@@ -3,7 +3,7 @@ package wdruntime_test
 import (
 	"context"
 	"errors"
-	"io"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,8 +15,8 @@ import (
 	"gowatchdog/internal/wdruntime"
 )
 
-// meshRuntime builds a runtime joined to net with fast timing and an
-// in-memory journal, running one checker driven by fail.
+// meshRuntime builds a runtime joined to net with fast timing and a
+// journal, running one checker driven by fail.
 func meshRuntime(t *testing.T, net *wdmesh.MemNetwork, self string, peers []string, fail func() bool) *wdruntime.Runtime {
 	t.Helper()
 	rt, err := wdruntime.New(
@@ -26,7 +26,7 @@ func meshRuntime(t *testing.T, net *wdmesh.MemNetwork, self string, peers []stri
 		wdruntime.WithMeshTransport(net.Node(self)),
 		// A full mesh suspects a peer after 4 silent intervals: 80ms.
 		wdruntime.WithMeshInterval(20*time.Millisecond),
-		wdruntime.WithJournalSink(io.Discard),
+		wdruntime.WithJournalPath(filepath.Join(t.TempDir(), "journal.jsonl")),
 	)
 	if err != nil {
 		t.Fatalf("New(%s): %v", self, err)
@@ -102,7 +102,7 @@ func TestMeshOutageDegradesToLocalDetection(t *testing.T) {
 	rt := meshRuntime(t, net, "solo", []string{"ghost1", "ghost2"}, func() bool { return true })
 
 	// Node-local detection is unaffected: the failing checker still alarms.
-	waitFor(t, 5*time.Second, func() bool { return rt.Obs().Alarms() > 0 },
+	waitFor(t, 5*time.Second, func() bool { return rt.Obs().Snapshot().Alarms > 0 },
 		"a local alarm despite the mesh outage")
 	waitFor(t, 5*time.Second, func() bool {
 		m := rt.Mesh().Snapshot()

@@ -3,7 +3,10 @@ package wdruntime_test
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"net"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -12,15 +15,19 @@ import (
 
 	"gowatchdog/internal/recovery"
 	"gowatchdog/internal/sdnotify"
+	"gowatchdog/internal/supervise"
 	"gowatchdog/internal/watchdog"
+	"gowatchdog/internal/wdobs"
 	"gowatchdog/internal/wdruntime"
 )
 
-// notifySocket binds a fake supervisor-side NOTIFY_SOCKET and returns its
-// path plus a channel of received datagrams.
+// notifySocket binds a fake supervisor-side NOTIFY_SOCKET, points
+// $NOTIFY_SOCKET at it for the test, and returns its path plus a channel of
+// received datagrams.
 func notifySocket(t *testing.T) (string, <-chan string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "notify.sock")
+	t.Setenv(sdnotify.EnvSocket, path)
 	conn, err := net.ListenUnixgram("unixgram", &net.UnixAddr{Name: path, Net: "unixgram"})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -60,12 +67,12 @@ func drainMsgs(msgs <-chan string) []string {
 // the supervisor must restart on real failure, not on a live-but-failing
 // process that keeps petting the timer.
 func TestSdNotifyFeedGatedOnVerdict(t *testing.T) {
-	path, msgs := notifySocket(t)
+	_, msgs := notifySocket(t)
 	var failing atomic.Bool
 	rt, err := wdruntime.New(
 		wdruntime.WithInterval(10*time.Millisecond),
 		wdruntime.WithTimeout(200*time.Millisecond),
-		wdruntime.WithNotifier(sdnotify.At(path)),
+		wdruntime.WithSdNotify(),
 	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -173,39 +180,28 @@ func TestSdNotifyNoopWithoutSocket(t *testing.T) {
 	}
 }
 
-// TestEscalationExitSendsTrigger: when the recovery ladder's exit rung fires,
-// the WATCHDOG=trigger datagram goes out before the (stubbed) process exit —
-// the supervisor learns the restart is self-diagnosed, immediately.
-func TestEscalationExitSendsTrigger(t *testing.T) {
-	path, msgs := notifySocket(t)
-	exited := make(chan int, 1)
-	mgr := recovery.New(
-		recovery.WithMaxAttempts(1),
-		recovery.WithEscalationExit(70),
-		recovery.WithExitFunc(func(code int) { exited <- code }),
-	)
-	mgr.Register(recovery.ForChecker("noop", "kvs.", func(watchdog.Report) error { return nil }))
-	rt, err := wdruntime.New(
-		wdruntime.WithNotifier(sdnotify.At(path)),
-		wdruntime.WithRecovery(mgr),
-	)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer rt.Close()
+// escalationChildEnv carries the journal path into the re-executed test
+// binary that runs TestEscalationExitSendsTrigger's exit rung.
+const escalationChildEnv = "WDRUNTIME_ESCALATION_CHILD_JOURNAL"
 
-	alarm := watchdog.Alarm{Report: watchdog.Report{
-		Checker: "kvs.flusher", Status: watchdog.StatusError,
-	}}
-	mgr.HandleAlarm(alarm) // cheap attempt
-	mgr.HandleAlarm(alarm) // threshold crossed, no escalation action → exit rung
-	select {
-	case code := <-exited:
-		if code != 70 {
-			t.Fatalf("exit code = %d, want 70", code)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("exit rung did not fire")
+// TestEscalationExitSendsTrigger: when the recovery ladder's exit rung fires,
+// the process exits with supervise.ExitWatchdogTrigger, and both the
+// WATCHDOG=trigger datagram and the journal's exited record are out before it
+// dies — the supervisor learns the restart is self-diagnosed, immediately.
+// The rung calls os.Exit, so the ladder runs in a re-executed test binary.
+func TestEscalationExitSendsTrigger(t *testing.T) {
+	if journal := os.Getenv(escalationChildEnv); journal != "" {
+		runEscalationChild(journal)
+		return
+	}
+	_, msgs := notifySocket(t)
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestEscalationExitSendsTrigger$")
+	cmd.Env = append(os.Environ(), escalationChildEnv+"="+journal)
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != supervise.ExitWatchdogTrigger {
+		t.Fatalf("child: %v, want exit code %d; output:\n%s", err, supervise.ExitWatchdogTrigger, out)
 	}
 	waitFor(t, 2*time.Second, func() bool {
 		for _, m := range drainMsgs(msgs) {
@@ -215,16 +211,51 @@ func TestEscalationExitSendsTrigger(t *testing.T) {
 		}
 		return false
 	}, "WATCHDOG=trigger datagram")
+	events := readJournal(t, journal)
+	if len(events) == 0 {
+		t.Fatal("child journal is empty")
+	}
+	if last := events[len(events)-1]; last.Kind != wdobs.KindRecovery ||
+		last.Outcome != recovery.EventExited.String() {
+		t.Fatalf("last journal record = %+v, want the exited recovery event", last)
+	}
+}
+
+// runEscalationChild drives the ladder to its exit rung on a runtime wired
+// the way a supervised daemon is: sd_notify from $NOTIFY_SOCKET and a JSONL
+// journal. It never returns: the rung exits with code 70, and anything else
+// exits with code 3.
+func runEscalationChild(journal string) {
+	mgr := recovery.New(
+		recovery.WithMaxAttempts(1),
+		recovery.WithEscalationExit(supervise.ExitWatchdogTrigger),
+	)
+	mgr.Register(recovery.ForChecker("noop", "kvs.", func(watchdog.Report) error { return nil }))
+	if _, err := wdruntime.New(
+		wdruntime.WithSdNotify(),
+		wdruntime.WithJournalPath(journal),
+		wdruntime.WithRecovery(mgr),
+	); err != nil {
+		fmt.Fprintln(os.Stderr, "New:", err)
+		os.Exit(3)
+	}
+	alarm := watchdog.Alarm{Report: watchdog.Report{
+		Checker: "kvs.flusher", Status: watchdog.StatusError,
+	}}
+	mgr.HandleAlarm(alarm) // cheap attempt
+	mgr.HandleAlarm(alarm) // threshold crossed, no escalation action → exit rung
+	fmt.Fprintln(os.Stderr, "exit rung did not fire")
+	os.Exit(3)
 }
 
 // TestDrainCloseIdempotentConcurrent: racing Drains and Closes all settle on
 // the first call's verdict — the lifecycle must tolerate a signal handler, a
 // deferred Close, and a supervisor-driven shutdown all firing at once.
 func TestDrainCloseIdempotentConcurrent(t *testing.T) {
-	path, _ := notifySocket(t)
+	notifySocket(t)
 	rt, err := wdruntime.New(
 		wdruntime.WithInterval(5*time.Millisecond),
-		wdruntime.WithNotifier(sdnotify.At(path)),
+		wdruntime.WithSdNotify(),
 	)
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -15,8 +15,8 @@
 // Start serves the observability endpoint (if configured) and begins
 // scheduling checks; a cancelled Start context stops scheduling early.
 // Drain stops scheduling and waits — within the drain budget — for hung
-// checker goroutines to be reaped. Close drains, then flushes and closes the
-// journal sink, then shuts the observability server down, and finally waits
+// checker goroutines to be reaped. Close drains, then syncs and closes the
+// journal file, then shuts the observability server down, and finally waits
 // for in-flight recovery retries: journal before obs so the last detection
 // events hit disk while the server still answers /healthz, recovery last so
 // every retry it spawned has a live stack to act on.
@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -65,12 +64,8 @@ type Config struct {
 	// there on Start.
 	ObsAddr string
 	// JournalPath, when non-empty, streams the detection journal to that file
-	// as JSONL (wdstat renders it). Takes precedence over JournalSink.
+	// as JSONL (wdstat renders it).
 	JournalPath string
-	// JournalSink, when non-nil, receives the JSONL journal stream. The sink
-	// stays caller-owned: Close flushes it (if it implements Flush() error)
-	// but never closes it.
-	JournalSink io.Writer
 	// Registry, when non-nil, is exported alongside the watchdog metrics.
 	Registry *gauge.Registry
 
@@ -123,9 +118,6 @@ type Config struct {
 	// fires. The socket comes from $NOTIFY_SOCKET; when unset everything
 	// no-ops, so the flag is safe to leave on outside supervision.
 	SdNotify bool
-	// Notifier overrides the env-resolved sd_notify client (tests point it
-	// at their own socket via sdnotify.At). Implies SdNotify.
-	Notifier *sdnotify.Notifier
 
 	// Factory, when non-nil, is the context factory the driver resolves
 	// checker contexts from (hook-instrumented systems pass theirs here).
@@ -207,26 +199,14 @@ func WithCEPRules(rules ...wdcep.Rule) Option {
 	return func(c *Config) { c.CEPRules = append(c.CEPRules, rules...) }
 }
 
-// WithCEPRulesFile loads temporal rules from a JSON rule file.
-func WithCEPRulesFile(path string) Option { return func(c *Config) { c.CEPRulesFile = path } }
-
 // WithCEPEvalEvery floors the time between rule-evaluation passes.
 func WithCEPEvalEvery(d time.Duration) Option { return func(c *Config) { c.CEPEvalEvery = d } }
 
 // WithSdNotify enables the sd_notify client on the $NOTIFY_SOCKET socket.
 func WithSdNotify() Option { return func(c *Config) { c.SdNotify = true } }
 
-// WithNotifier sets an explicit sd_notify client (implies WithSdNotify).
-func WithNotifier(n *sdnotify.Notifier) Option { return func(c *Config) { c.Notifier = n } }
-
-// WithObsAddr serves the observability endpoints there on Start.
-func WithObsAddr(addr string) Option { return func(c *Config) { c.ObsAddr = addr } }
-
 // WithJournalPath streams the detection journal to the file as JSONL.
 func WithJournalPath(path string) Option { return func(c *Config) { c.JournalPath = path } }
-
-// WithJournalSink streams the detection journal to a caller-owned writer.
-func WithJournalSink(w io.Writer) Option { return func(c *Config) { c.JournalSink = w } }
 
 // WithRegistry exports the registry's gauges alongside the watchdog metrics.
 func WithRegistry(r *gauge.Registry) Option { return func(c *Config) { c.Registry = r } }
@@ -241,13 +221,13 @@ func WithClock(clk clock.Clock) Option { return func(c *Config) { c.Clock = clk 
 func WithRecovery(m *recovery.Manager) Option { return func(c *Config) { c.Recovery = m } }
 
 // Runtime owns one composed watchdog stack: driver, observability, journal
-// sink, and recovery manager, with a deterministic shutdown ordering.
+// file, and recovery manager, with a deterministic shutdown ordering.
 type Runtime struct {
 	cfg      Config
 	driver   *watchdog.Driver
 	obs      *wdobs.Obs
 	rec      *recovery.Manager
-	journalF *os.File // owned only when opened from JournalPath
+	journalF *os.File // opened from JournalPath
 
 	mesh       *wdmesh.Mesh
 	meshAlarms atomic.Int64
@@ -271,7 +251,7 @@ type Runtime struct {
 // hardening options, recovery listeners (always registered first, so campaign
 // or daemon listeners added afterwards observe the same ordering), and — when
 // any observability field is set — a wdobs instance with an optional JSONL
-// journal sink. The driver is not started; register checkers first, then call
+// journal file. The driver is not started; register checkers first, then call
 // Start.
 func New(opts ...Option) (*Runtime, error) {
 	cfg := defaults()
@@ -311,23 +291,19 @@ func New(opts ...Option) (*Runtime, error) {
 
 	rt := &Runtime{cfg: cfg, driver: watchdog.New(dopts...), rec: cfg.Recovery}
 
-	if cfg.ObsAddr != "" || cfg.JournalPath != "" || cfg.JournalSink != nil ||
+	if cfg.ObsAddr != "" || cfg.JournalPath != "" ||
 		len(cfg.CEPRules) > 0 || cfg.CEPRulesFile != "" {
 		var oopts []wdobs.Option
 		if cfg.Registry != nil {
 			oopts = append(oopts, wdobs.WithRegistry(cfg.Registry))
 		}
-		sink := cfg.JournalSink
 		if cfg.JournalPath != "" {
 			f, err := os.Create(cfg.JournalPath)
 			if err != nil {
 				return nil, fmt.Errorf("wdruntime: journal: %w", err)
 			}
 			rt.journalF = f
-			sink = f
-		}
-		if sink != nil {
-			oopts = append(oopts, wdobs.WithSink(sink))
+			oopts = append(oopts, wdobs.WithSink(f))
 		}
 		rt.obs = wdobs.New(oopts...)
 		rt.obs.Attach(rt.driver)
@@ -359,9 +335,7 @@ func New(opts ...Option) (*Runtime, error) {
 		}
 	}
 
-	if cfg.Notifier != nil {
-		rt.notifier = cfg.Notifier
-	} else if cfg.SdNotify {
+	if cfg.SdNotify {
 		rt.notifier = sdnotify.New()
 	}
 
@@ -398,9 +372,6 @@ func (rt *Runtime) Driver() *watchdog.Driver { return rt.driver }
 
 // Obs returns the observability instance, or nil when none was configured.
 func (rt *Runtime) Obs() *wdobs.Obs { return rt.obs }
-
-// Recovery returns the wired recovery manager, or nil.
-func (rt *Runtime) Recovery() *recovery.Manager { return rt.rec }
 
 // Config returns a copy of the resolved configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
@@ -543,8 +514,8 @@ func (rt *Runtime) Drain() error {
 	return rt.drainErr
 }
 
-// Close tears the stack down in order: drain the driver, flush and release
-// the journal sink, close the observability server, then wait for in-flight
+// Close tears the stack down in order: drain the driver, sync and close the
+// journal file, close the observability server, then wait for in-flight
 // recovery retries. Idempotent; errors along the way are joined.
 func (rt *Runtime) Close() error {
 	rt.closeOnce.Do(func() {
@@ -556,15 +527,13 @@ func (rt *Runtime) Close() error {
 		}
 		errs = append(errs, rt.Drain())
 		// Drain the rule engine after the driver stops but before the journal
-		// sink flushes: events already published must get their evaluation
-		// pass, and any resulting KindCEP entries must reach the sink.
+		// file syncs: events already published must get their evaluation
+		// pass, and any resulting KindCEP entries must reach the file.
 		if rt.cep != nil {
 			rt.cep.Drain(rt.driver.Clock().Now())
 		}
 		if rt.journalF != nil {
 			errs = append(errs, rt.journalF.Sync(), rt.journalF.Close())
-		} else if f, ok := rt.cfg.JournalSink.(interface{ Flush() error }); ok {
-			errs = append(errs, f.Flush())
 		}
 		if rt.obs != nil {
 			errs = append(errs, rt.obs.Journal().SinkErr())

