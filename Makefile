@@ -46,7 +46,9 @@ kvs-commit-stress:
 # seed corpus (testdata/fuzz/<target>, which plain `go test` already
 # replays). FuzzReader: arbitrary bytes opened as an sstable must never
 # panic or exhaust memory, only return ErrCorrupt. FuzzTable: any sequence
-# of memtable operations must agree with a sorted-map model. A failing
+# of memtable operations must agree with a sorted-map model. FuzzLog:
+# arbitrary bytes opened as a WAL keep exactly their intact prefix, without
+# over-allocating, and take an append behind it. A failing
 # input is written under the target's directory, ready to commit as a
 # regression seed. -fuzzminimizetime 0s keeps the engine executing inputs
 # for the whole -fuzztime instead of stalling to minimize each new
@@ -54,6 +56,7 @@ kvs-commit-stress:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/sstable
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/memtable
+	$(GO) test -run '^$$' -fuzz '^FuzzLog$$' -fuzztime 10s -fuzzminimizetime 0s ./internal/wal
 
 # flake-census repeats the whole suite in shuffled order and the race
 # packages under the race detector, so an order- or timing-dependent test

@@ -258,8 +258,8 @@ func (p *partition) memBytes() int64 {
 }
 
 // appendPending is the first half of the group-commit write path: it
-// appends payload to the WAL (buffered, ordered by gcMu) and queues rec on
-// the open batch, which it returns as the record's commit ticket.
+// appends payload to the WAL's in-memory tail (ordered by gcMu) and queues
+// rec on the open batch, which it returns as the record's commit ticket.
 //
 // Callers must hold p.writeGate.RLock.
 func (p *partition) appendPending(payload []byte, rec pendingRecord) (*commitBatch, error) {
@@ -276,12 +276,13 @@ func (p *partition) appendPending(payload []byte, rec pendingRecord) (*commitBat
 // awaitCommit is the second half: it returns once batch b is committed,
 // with the batch's outcome. Any number of goroutines may await
 // the same batch, holding no lock. The first waiter to find no commit in
-// flight becomes the leader: it takes the open batch, issues ONE fsync for it,
-// publishes its records to the memtable in log order, and wakes everyone.
-// Records of a failed sync are never published, so the memtable always
-// trails the durable WAL prefix — a crash can lose only mutations whose
-// callers saw an error. Successful records are counted and handed to the
-// replication stream here, after the sync, in log order.
+// flight becomes the leader: it takes the open batch, writes its frames
+// with ONE write and covers them with ONE fsync, publishes its records to
+// the memtable in log order, and wakes everyone. Records of a failed write
+// or sync are never published, so the memtable always trails the durable
+// WAL prefix — a crash can lose only mutations whose callers saw an error.
+// Successful records are counted and handed to the replication stream
+// here, after the sync, in log order.
 //
 // Batches are taken in order and an unfinished batch that no leader holds
 // is necessarily the open one, so the batch a leader takes is b itself and
@@ -297,14 +298,24 @@ func (s *Store) awaitCommit(b *commitBatch) error {
 		}
 		p.gcSyncing = true
 		p.gcCommitMu.Unlock()
+		// Every append joins the open batch under gcMu, so the tail written
+		// here holds exactly this batch's frames and a failed write fails
+		// exactly this batch. The fsync runs outside gcMu, so the next
+		// batch accumulates meanwhile.
 		p.gcMu.Lock()
 		batch, log := p.gcOpen, p.log
 		p.gcOpen = &commitBatch{p: p}
-		p.gcMu.Unlock()
 		var err error
 		if len(batch.recs) > 0 { // flush and close drain through here with nothing queued
+			err = log.Flush()
+		}
+		p.gcMu.Unlock()
+		if len(batch.recs) > 0 {
 			s.commitSyncs.Inc()
-			if err = log.Sync(); err == nil {
+			if err == nil {
+				err = log.Sync()
+			}
+			if err == nil {
 				s.publish(p, batch.recs)
 			}
 		}

@@ -42,7 +42,9 @@ const (
 	SyncGroup SyncPolicy = iota
 	// SyncNone acknowledges after the buffered WAL append without waiting
 	// for a sync — the pre-group-commit behavior. Durability only at flush
-	// boundaries; fastest, for tests and expendable data.
+	// boundaries; fastest, for tests and expendable data. The append only
+	// fills the WAL's in-memory tail, written every 64 KiB, so a process
+	// crash can lose up to 64 KiB of acknowledged writes per partition.
 	SyncNone
 )
 

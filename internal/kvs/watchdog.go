@@ -58,7 +58,7 @@ func (s *Store) InstallWatchdog(d *watchdog.Driver, shadow *wdio.FS) {
 var (
 	flusherSite    = watchdog.Site{Function: "kvs.(*Store).FlushPartition", Op: "sstable.Write", File: "internal/kvs/flush.go", Line: 68}
 	compactionSite = watchdog.Site{Function: "kvs.(*Store).CompactPartition", Op: "sstable.Merge", File: "internal/kvs/flush.go", Line: 167}
-	walSite        = watchdog.Site{Function: "kvs.(*Store).appendMutation", Op: "wal.Append", File: "internal/kvs/store.go", Line: 442}
+	walSite        = watchdog.Site{Function: "kvs.(*Store).appendMutation", Op: "wal.Append", File: "internal/kvs/store.go", Line: 444}
 	indexerSite    = watchdog.Site{Function: "kvs.(*partition).applyToMem", Op: "memtable.Put", File: "internal/kvs/partition.go", Line: 249}
 	partitionSite  = watchdog.Site{Function: "kvs.(*Store).verifyPartition", Op: "sstable.VerifyChecksum", File: "internal/kvs/flush.go", Line: 334}
 	replSite       = watchdog.Site{Function: "kvs.(*replicator).sendOne", Op: "net.Write", File: "internal/kvs/replication.go", Line: 130}

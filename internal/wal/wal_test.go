@@ -185,6 +185,7 @@ func TestVerifyDetectsSilentCorruption(t *testing.T) {
 func TestVerifyFromResumes(t *testing.T) {
 	l, path := openLog(t)
 	l.Append([]byte("first"))
+	l.Sync()
 	end, err := l.VerifyFrom(0)
 	if err != nil || end != l.Size() {
 		t.Fatalf("VerifyFrom(0) = %d, %v; size %d", end, err, l.Size())
@@ -198,6 +199,7 @@ func TestVerifyFromResumes(t *testing.T) {
 	data[frameHeader] ^= 0x01
 	os.WriteFile(path, data, 0o644)
 	l.Append([]byte("second"))
+	l.Sync()
 	got, err := l.VerifyFrom(end)
 	if err != nil || got != l.Size() {
 		t.Fatalf("VerifyFrom(%d) = %d, %v; size %d", end, got, err, l.Size())
@@ -207,6 +209,7 @@ func TestVerifyFromResumes(t *testing.T) {
 	}
 	// A flip past the watermark is found, and the watermark does not move.
 	l.Append([]byte("third"))
+	l.Sync()
 	data, _ = os.ReadFile(path)
 	data[len(data)-1] ^= 0x01
 	os.WriteFile(path, data, 0o644)
@@ -250,6 +253,7 @@ func TestReset(t *testing.T) {
 	if err := l.Append([]byte("y")); err != nil {
 		t.Fatal(err)
 	}
+	l.Sync()
 	count := 0
 	l.Replay(func([]byte) error { count++; return nil })
 	if count != 1 {
@@ -278,6 +282,7 @@ func TestReplayCallbackErrorPropagates(t *testing.T) {
 	l, _ := openLog(t)
 	l.Append([]byte("a"))
 	l.Append([]byte("b"))
+	l.Sync()
 	boom := errors.New("boom")
 	err := l.Replay(func([]byte) error { return boom })
 	if !errors.Is(err, boom) {

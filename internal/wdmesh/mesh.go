@@ -169,6 +169,10 @@ type Mesh struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
+	// demotedLinks counts the peers whose demoted flag is set, so a round
+	// with no demoted link samples without loading every peer's flag.
+	demotedLinks atomic.Int64
+
 	// mu guards the round state below. The slices from digests to obsPos
 	// hold per-peer state, indexed like peers.
 	mu       sync.Mutex
@@ -369,7 +373,8 @@ func (m *Mesh) Start() {
 // verdict evaluation, and inline delivery (no queues, no retries) in the
 // calling goroutine. Combined with a virtual clock and an in-process network
 // it makes thousand-node campaigns deterministic: same seeds and same step
-// order give bit-identical state. A stepped mesh must never call Start.
+// order give bit-identical state. A round's sends share one SendTimeout,
+// counted from the start of the round. A stepped mesh must never call Start.
 func (m *Mesh) Step() {
 	m.mu.Lock()
 	if m.started {
@@ -381,11 +386,11 @@ func (m *Mesh) Step() {
 	m.mu.Unlock()
 
 	frames := m.buildRound()
+	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.SendTimeout)
+	defer cancel()
 	for i := range frames {
 		f := &frames[i]
-		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.SendTimeout)
 		err := m.cfg.Transport.Send(ctx, f.p.name, &f.msg)
-		cancel()
 		m.noteSend(f.p, err)
 		m.release(&f.msg)
 	}
@@ -501,11 +506,17 @@ type target struct {
 func (m *Mesh) sampleLocked() []target {
 	eligible := m.scratch[:0]
 	var demoted []int
-	for i, p := range m.peers {
-		if p.demoted.Load() {
-			demoted = append(demoted, i)
-		} else {
+	if m.demotedLinks.Load() == 0 {
+		for i := range m.peers {
 			eligible = append(eligible, i)
+		}
+	} else {
+		for i, p := range m.peers {
+			if p.demoted.Load() {
+				demoted = append(demoted, i)
+			} else {
+				eligible = append(eligible, i)
+			}
 		}
 	}
 	m.rngMu.Lock()
@@ -943,6 +954,7 @@ func (m *Mesh) noteSend(p *peer, err error) {
 		m.sent.Add(1)
 		p.consecFail.Store(0)
 		if p.demoted.CompareAndSwap(true, false) {
+			m.demotedLinks.Add(-1)
 			m.logf("wdmesh: %s re-promoted link to %s", m.cfg.Self, p.name)
 		}
 		return
@@ -950,6 +962,7 @@ func (m *Mesh) noteSend(p *peer, err error) {
 	p.failures.Add(1)
 	if p.consecFail.Add(1) >= int64(m.cfg.DemoteAfter) {
 		if p.demoted.CompareAndSwap(false, true) {
+			m.demotedLinks.Add(1)
 			m.logf("wdmesh: %s demoted flapping link to %s (%v)", m.cfg.Self, p.name, err)
 		}
 	}
