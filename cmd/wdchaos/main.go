@@ -34,7 +34,7 @@
 // and partition tolerance (see campaign.RunMesh). The meshscale substrate
 // steps hundreds of mesh nodes on a virtual clock through correlated
 // partition, churn, and lossy-link faults, and gates message volume at
-// O(N·K) (see campaign.RunMeshScale). The super substrate runs a
+// O(N·K) (see meshscale.Run). The super substrate runs a
 // real crash-restart supervisor over re-executions of this binary and scores
 // time-to-restart, stuck detection, episode adoption, and the restart-storm
 // breaker (see campaign.RunSuper).
@@ -192,10 +192,10 @@ func runMesh(seed int64, nodes, quorum int, interval time.Duration, rawJSON bool
 
 // runMeshScale scores the mesh-at-scale survival campaign: hundreds of
 // Step-mode nodes on a virtual clock under seeded correlated partitions,
-// churn, and lossy links (see campaign.RunMeshScale). The verdict is
+// churn, and lossy links (see meshscale.Run). The verdict is
 // deterministic in the seed.
 func runMeshScale(seed int64, nodes, fanout, quorum int, interval time.Duration, rawJSON bool) int {
-	verdict, err := campaign.RunMeshScale(meshscale.Config{
+	verdict, err := meshscale.Run(meshscale.Config{
 		Seed:     seed,
 		Nodes:    nodes,
 		Fanout:   fanout,

@@ -206,7 +206,7 @@ func renderMesh(w io.Writer, m *wdmesh.Snapshot) {
 	if len(shown) > meshTopK {
 		shown = shown[:meshTopK]
 	}
-	rows := [][]string{{"PEER", "OBS", "WORST", "SEQ", "HEARD", "DROPS", "RETRIES", "FAILS", "LINK"}}
+	rows := [][]string{{"PEER", "OBS", "WORST", "SEQ", "HEARD", "DROPS", "FAILS", "LINK"}}
 	for _, p := range shown {
 		heard := "never"
 		if p.LastHeardNS >= 0 {
@@ -220,7 +220,7 @@ func renderMesh(w io.Writer, m *wdmesh.Snapshot) {
 		}
 		rows = append(rows, []string{
 			p.Node, p.Observation, p.Worst.String(), fmt.Sprint(p.Seq), heard,
-			fmt.Sprint(p.QueueDrops), fmt.Sprint(p.SendRetries), fmt.Sprint(p.SendFailures), link,
+			fmt.Sprint(p.QueueDrops), fmt.Sprint(p.SendFailures), link,
 		})
 	}
 	printTable(w, rows)

@@ -174,7 +174,6 @@ func TestRenderMeshGolden(t *testing.T) {
 			p.Worst = watchdog.StatusSlow
 		case i == 800:
 			p.QueueDrops = 17
-			p.SendRetries = 21
 		}
 		mesh.Peers = append(mesh.Peers, p)
 	}
@@ -193,17 +192,17 @@ func TestRenderMeshGolden(t *testing.T) {
 		"mesh transport: reconnects=4 protocol-errors=1 oversized=1",
 		"VERDICT  KIND         VOTES  WORST  SINCE",
 		"n0404    unreachable  3      stuck  11:59:10",
-		"PEER   OBS          WORST    SEQ  HEARD  DROPS  RETRIES  FAILS  LINK",
-		"n0400  unreachable  healthy  900  30.0s  0      0        12     demoted x9",
-		"n0401  unreachable  healthy  900  30.0s  0      0        11     demoted x8",
-		"n0402  unreachable  healthy  900  30.0s  0      0        10     ok",
-		"n0403  unreachable  healthy  900  30.0s  0      0        9      ok",
-		"n0404  unreachable  healthy  900  30.0s  0      0        8      ok",
-		"n0405  unreachable  healthy  900  30.0s  0      0        7      ok",
-		"n0406  unreachable  healthy  900  30.0s  0      0        6      ok",
-		"n0407  unreachable  healthy  900  30.0s  0      0        5      ok",
-		"n0408  unreachable  healthy  900  30.0s  0      0        4      ok",
-		"n0409  unreachable  healthy  900  30.0s  0      0        3      ok",
+		"PEER   OBS          WORST    SEQ  HEARD  DROPS  FAILS  LINK",
+		"n0400  unreachable  healthy  900  30.0s  0      12     demoted x9",
+		"n0401  unreachable  healthy  900  30.0s  0      11     demoted x8",
+		"n0402  unreachable  healthy  900  30.0s  0      10     ok",
+		"n0403  unreachable  healthy  900  30.0s  0      9      ok",
+		"n0404  unreachable  healthy  900  30.0s  0      8      ok",
+		"n0405  unreachable  healthy  900  30.0s  0      7      ok",
+		"n0406  unreachable  healthy  900  30.0s  0      6      ok",
+		"n0407  unreachable  healthy  900  30.0s  0      5      ok",
+		"n0408  unreachable  healthy  900  30.0s  0      4      ok",
+		"n0409  unreachable  healthy  900  30.0s  0      3      ok",
 		"... and 4 more abnormal peer(s)",
 		"... and 985 healthy peer(s)",
 		"",

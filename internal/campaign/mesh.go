@@ -130,10 +130,9 @@ type MeshVerdict struct {
 	// WarmupFalsePositives counts cluster verdicts raised before any fault.
 	WarmupFalsePositives int `json:"warmup_false_positives"`
 
-	// QueueDrops/SendRetries/SendFailures total the mesh's share-fate
-	// counters across nodes at the end of the run.
+	// QueueDrops/SendFailures total the mesh's share-fate counters across
+	// nodes at the end of the run.
 	QueueDrops   int64 `json:"queue_drops"`
-	SendRetries  int64 `json:"send_retries"`
 	SendFailures int64 `json:"send_failures"`
 
 	Pass     bool     `json:"pass"`
@@ -332,7 +331,6 @@ func RunMesh(cfg MeshConfig) (*MeshVerdict, error) {
 	for _, n := range nodes {
 		snap := n.rt.Mesh().Snapshot()
 		v.QueueDrops += snap.QueueDrops
-		v.SendRetries += snap.SendRetries
 		v.SendFailures += snap.SendFailures
 	}
 
@@ -376,8 +374,8 @@ func (v *MeshVerdict) Render() string {
 	fmt.Fprintf(&b, "  verdicts cleared after disarm: %v\n", v.Cleared)
 	fmt.Fprintf(&b, "  one-way partition %s: %d false positive(s); warmup false positives %d\n",
 		v.PartitionLink, v.PartitionFalsePositives, v.WarmupFalsePositives)
-	fmt.Fprintf(&b, "  mesh share-fate: queue drops %d, send retries %d, send failures %d\n",
-		v.QueueDrops, v.SendRetries, v.SendFailures)
+	fmt.Fprintf(&b, "  mesh share-fate: queue drops %d, send failures %d\n",
+		v.QueueDrops, v.SendFailures)
 	if v.Pass {
 		b.WriteString("  PASS\n")
 	} else {

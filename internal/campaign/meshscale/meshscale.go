@@ -6,9 +6,10 @@
 // instead of the full mesh's O(N²).
 //
 // The campaign is deterministic: the same seed reproduces the same verdict
-// bit for bit. Nodes run unstarted meshes advanced with Mesh.Step, so there
-// are no goroutines, queues, or retries — every send happens inline in node
-// order while the virtual clock advances one gossip interval per round.
+// bit for bit. Nodes run unstarted meshes advanced with Mesh.Step, the same
+// round a started mesh runs on its own goroutine: every send happens inline
+// in node order while the virtual clock advances one gossip interval per
+// round.
 //
 // Phases:
 //

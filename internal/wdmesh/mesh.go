@@ -45,30 +45,11 @@ type Config struct {
 	// Entries are chosen least-gossiped first so new rumors spread before
 	// well-travelled ones.
 	MaxDelta int
-	// DemoteAfter is how many consecutive send failures demote a link out of
-	// the fanout sample set (default 3). Demoted links still get probe and
-	// anti-entropy traffic, and one success re-promotes them.
-	DemoteAfter int
-	// ProbeEvery makes every Nth round probe one demoted link so a healed
-	// peer is re-promoted promptly (default 4).
-	ProbeEvery int
 	// Epoch is this node's incarnation number, carried in every digest so
 	// peers detect restarts (default: clock now in nanoseconds at New).
 	// Deterministic campaigns set it explicitly.
 	Epoch int64
-	// QueueCap bounds each peer's outgoing queue; overflow drops the message
-	// and increments the peer's drop counter (default 8).
-	QueueCap int
-	// SendTimeout is the per-attempt send deadline (default Interval, capped
-	// at 2s so a hung link never stalls a sender past a couple of rounds).
-	SendTimeout time.Duration
-	// Retries is how many times a failed send is retried before the message
-	// is abandoned (default 2).
-	Retries int
-	// RetryBase seeds the capped exponential retry backoff (default
-	// Interval/8; the cap is Interval).
-	RetryBase time.Duration
-	// JitterSeed seeds retry jitter and fanout sampling (default 1).
+	// JitterSeed seeds fanout sampling (default 1).
 	JitterSeed int64
 	// Clock replaces the real clock (virtual in deterministic tests).
 	Clock clock.Clock
@@ -91,6 +72,20 @@ type Config struct {
 // suppress the deltas they need.
 const antiEntropyEvery = 8
 
+// demoteAfter consecutive failed sends demote a link out of the fanout sample
+// set. Demoted links still get probe and anti-entropy traffic, and one
+// success re-promotes them.
+const demoteAfter = 3
+
+// probeEvery makes every Nth round probe one demoted link, so a healed peer
+// is re-promoted promptly.
+const probeEvery = 4
+
+// maxSendBudget caps one round's send budget, which is otherwise the
+// Interval, so a hung link never holds a round for more than a couple of
+// seconds.
+const maxSendBudget = 2 * time.Second
+
 // ackRef is the freshest digest a peer has evidenced knowing for one node.
 type ackRef struct {
 	epoch int64
@@ -106,22 +101,20 @@ func (a ackRef) covers(epoch int64, seq uint64) bool {
 	return a.seq >= seq
 }
 
-// peer is the per-peer send side: a bounded queue drained by one sender
-// goroutine (built by Start; a stepped mesh sends inline and has none),
-// drop/retry/failure counters, link health, and the ack table driving delta
-// suppression.
+// peer is the per-peer send side: drop/failure counters, link health, and
+// the ack table driving delta suppression.
 type peer struct {
-	name  string
-	idx   int
-	queue chan Message
+	name string
+	idx  int
 
+	// drops counts frames left unsent because the round's send budget ran
+	// out before their turn; failures counts frames whose Send failed.
 	drops    atomic.Int64
-	retries  atomic.Int64
 	failures atomic.Int64
 	sent     atomic.Int64
 
-	// consecFail counts consecutive failed deliveries; DemoteAfter of them
-	// demote the link out of the fanout sample set until a probe succeeds.
+	// consecFail counts consecutive failed sends; demoteAfter of them demote
+	// the link out of the fanout sample set until a probe succeeds.
 	consecFail atomic.Int64
 	demoted    atomic.Bool
 
@@ -166,9 +159,6 @@ type Mesh struct {
 	// frame is absorbed without hashing every relayed name.
 	order []member
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	// demotedLinks counts the peers whose demoted flag is set, so a round
 	// with no demoted link samples without loading every peer's flag.
 	demotedLinks atomic.Int64
@@ -187,16 +177,18 @@ type Mesh struct {
 	suspect  []bool             // reused per-round verdict candidate marks
 	obsPos   []int              // reused per-frame: 1 + subject's position in kinds
 	verdicts map[string]Verdict // standing cluster verdicts by subject
+	rng      *rand.Rand         // fanout sampling
 	scratch  []int              // reused per-round sample buffer
+	targets  []target           // reused per-round destinations
 	cand     []int              // reused per-frame delta candidates, in name order
 	ranked   []int              // reused MaxDelta ranking buffer
-	// free holds the Known buffers of frames already sent or dropped (see
-	// release), so a steady-state round allocates no frame storage.
-	free [][]Digest
+	// frames holds the last round's frames. A round reuses the slots and
+	// their Known buffers, so a steady-state round allocates no frame
+	// storage; rounds never overlap, so the previous round's sends are done.
+	frames []outFrame
 
 	begun    bool // handler installed, heard seeded (Start or first Step)
-	started  bool // goroutine mode (Start)
-	stepping bool // synchronous mode (Step)
+	started  bool // Start launched the gossip loop; Step is refused
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	closeOne sync.Once
@@ -232,32 +224,6 @@ func New(cfg Config) (*Mesh, error) {
 	}
 	if cfg.MaxDelta <= 0 {
 		cfg.MaxDelta = 512
-	}
-	if cfg.DemoteAfter <= 0 {
-		cfg.DemoteAfter = 3
-	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 4
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 8
-	}
-	if cfg.SendTimeout <= 0 {
-		cfg.SendTimeout = cfg.Interval
-		if cfg.SendTimeout > 2*time.Second {
-			cfg.SendTimeout = 2 * time.Second
-		}
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = 2
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = cfg.Interval / 8
-		if cfg.RetryBase <= 0 {
-			cfg.RetryBase = time.Millisecond
-		}
 	}
 	if cfg.JitterSeed == 0 {
 		cfg.JitterSeed = 1
@@ -346,11 +312,12 @@ func (m *Mesh) beginLocked() {
 	m.cfg.Transport.SetHandler(m.receive)
 }
 
-// Start launches the gossip loop and one sender goroutine per peer. It is
-// not idempotent; call once. Meshes driven by Step must not call Start.
+// Start launches the gossip loop: one goroutine that runs the round Step
+// runs, once per Interval, until Close. It is not idempotent; call once. A
+// mesh driven by Step must not call Start.
 func (m *Mesh) Start() {
 	m.mu.Lock()
-	if m.started || m.stepping {
+	if m.begun {
 		m.mu.Unlock()
 		panic("wdmesh: Start after Start or Step")
 	}
@@ -358,47 +325,30 @@ func (m *Mesh) Start() {
 	m.beginLocked()
 	m.mu.Unlock()
 
-	for _, p := range m.peers {
-		p.queue = make(chan Message, m.cfg.QueueCap)
-		m.wg.Add(1)
-		go m.sender(p)
-	}
 	m.wg.Add(1)
 	go m.gossipLoop()
 	m.logf("wdmesh: %s gossiping to %d peer(s) every %v (fanout %d, suspect-after %v, quorum %d)",
 		m.cfg.Self, len(m.peers), m.cfg.Interval, m.cfg.Fanout, m.cfg.SuspectAfter, m.cfg.Quorum)
 }
 
-// Step runs one synchronous gossip round on the caller's schedule: sampling,
-// verdict evaluation, and inline delivery (no queues, no retries) in the
-// calling goroutine. Combined with a virtual clock and an in-process network
-// it makes thousand-node campaigns deterministic: same seeds and same step
-// order give bit-identical state. A round's sends share one SendTimeout,
-// counted from the start of the round. A stepped mesh must never call Start.
+// Step runs one gossip round in the calling goroutine, on the caller's
+// schedule: the round a started mesh runs each Interval. Combined with a
+// virtual clock and an in-process network it makes thousand-node campaigns
+// deterministic: same seeds and same step order give bit-identical state.
+// Calls must not overlap, and a mesh that called Start must not Step.
 func (m *Mesh) Step() {
 	m.mu.Lock()
 	if m.started {
 		m.mu.Unlock()
 		panic("wdmesh: Step after Start")
 	}
-	m.stepping = true
 	m.beginLocked()
 	m.mu.Unlock()
-
-	frames := m.buildRound()
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.SendTimeout)
-	defer cancel()
-	for i := range frames {
-		f := &frames[i]
-		err := m.cfg.Transport.Send(ctx, f.p.name, &f.msg)
-		m.noteSend(f.p, err)
-		m.release(&f.msg)
-	}
+	m.gossipRound()
 }
 
 // Close stops gossiping and releases the transport. It is bounded even when
-// every link is down: in-flight sends are limited by the per-attempt
-// deadline, and retry backoffs abort on stop.
+// every link is down: a round in flight ends within its send budget.
 func (m *Mesh) Close() error {
 	m.closeOne.Do(func() {
 		close(m.stop)
@@ -409,13 +359,13 @@ func (m *Mesh) Close() error {
 	return m.closeErr
 }
 
-// gossipLoop emits one gossip round per interval until Close.
+// gossipLoop runs one gossip round per interval until Close.
 func (m *Mesh) gossipLoop() {
 	defer m.wg.Done()
 	ticker := m.clk.NewTicker(m.cfg.Interval)
 	defer ticker.Stop()
 	for {
-		m.tickOnce()
+		m.gossipRound()
 		select {
 		case <-m.stop:
 			return
@@ -430,37 +380,29 @@ type outFrame struct {
 	msg Message
 }
 
-// tickOnce runs one asynchronous gossip round: build the frames, then hand
-// each to its peer's bounded queue (overflow drops, never blocks).
-func (m *Mesh) tickOnce() {
-	for _, f := range m.buildRound() {
-		select {
-		case f.p.queue <- f.msg:
-		default:
+// gossipRound builds this round's frames and sends them in order under one
+// budget, the Interval capped at maxSendBudget, counted from the first
+// send. A frame whose turn comes after the budget is spent is not
+// attempted: it counts as a drop for its peer, not as a send failure, so a
+// hung link can never fail or demote the links sampled after it. Demoted
+// and anti-entropy targets come after the fanout sample.
+func (m *Mesh) gossipRound() {
+	frames := m.buildRound()
+	ctx, cancel := context.WithTimeout(context.Background(), min(m.cfg.Interval, maxSendBudget))
+	defer cancel()
+	for i := range frames {
+		f := &frames[i]
+		if ctx.Err() != nil {
 			f.p.drops.Add(1)
-			m.release(&f.msg)
+			continue
 		}
+		m.noteSend(f.p, m.cfg.Transport.Send(ctx, f.p.name, &f.msg))
 	}
-}
-
-// release takes back a frame's Known buffer for the next round's frames. It
-// is the one release point of a frame in both modes: once its Send has
-// returned (Step), once deliver is done with it or the queue drops it
-// (Start). The Transport contract makes this safe: Send keeps no slice of
-// msg after it returns.
-func (m *Mesh) release(msg *Message) {
-	if cap(msg.Known) == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.free = append(m.free, msg.Known[:0])
-	m.mu.Unlock()
-	msg.Known = nil
 }
 
 // buildRound assembles this round's digest, re-evaluates suspicion and
 // verdicts, samples the fanout targets, and builds one delta frame per
-// target.
+// target into the reused m.frames.
 func (m *Mesh) buildRound() []outFrame {
 	d := m.cfg.Source()
 	now := m.clk.Now()
@@ -480,15 +422,19 @@ func (m *Mesh) buildRound() []outFrame {
 	m.evaluateVerdictsLocked(now, cutoff)
 	obs := m.localObsLocked(cutoff)
 	targets := m.sampleLocked()
-	frames := make([]outFrame, 0, len(targets))
-	for _, t := range targets {
-		msg := Message{From: m.cfg.Self, Self: d, Obs: obs, Full: t.full}
-		msg.Known = m.deltaLocked(t.p, t.full)
+	if n := len(targets) - len(m.frames); n > 0 {
+		m.frames = append(m.frames, make([]outFrame, n)...)
+	}
+	frames := m.frames[:len(targets)]
+	for i, t := range targets {
+		f := &frames[i]
+		known := m.deltaLocked(t.p, t.full, f.msg.Known[:0])
+		f.p = t.p
+		f.msg = Message{From: m.cfg.Self, Self: d, Known: known, Obs: obs, Full: t.full}
 		if t.full {
 			m.fullSyncs.Add(1)
 		}
-		m.deltaEntries.Add(int64(len(msg.Known)))
-		frames = append(frames, outFrame{p: t.p, msg: msg})
+		m.deltaEntries.Add(int64(len(known)))
 	}
 	return frames
 }
@@ -499,10 +445,10 @@ type target struct {
 	full bool
 }
 
-// sampleLocked picks this round's destinations: Fanout healthy links chosen
-// uniformly (seeded), one demoted link probed every ProbeEvery rounds, and —
-// every antiEntropyEvery rounds — one peer flagged for a full-table
-// anti-entropy frame. Callers hold m.mu.
+// sampleLocked picks this round's destinations, into the reused m.targets:
+// Fanout healthy links chosen uniformly (seeded), one demoted link probed
+// every probeEvery rounds, and — every antiEntropyEvery rounds — one peer
+// flagged for a full-table anti-entropy frame. Callers hold m.mu.
 func (m *Mesh) sampleLocked() []target {
 	eligible := m.scratch[:0]
 	var demoted []int
@@ -519,9 +465,6 @@ func (m *Mesh) sampleLocked() []target {
 			}
 		}
 	}
-	m.rngMu.Lock()
-	defer m.rngMu.Unlock()
-
 	k := m.cfg.Fanout
 	if k > len(eligible) {
 		k = len(eligible)
@@ -531,11 +474,11 @@ func (m *Mesh) sampleLocked() []target {
 		j := i + m.rng.Intn(len(eligible)-i)
 		eligible[i], eligible[j] = eligible[j], eligible[i]
 	}
-	targets := make([]target, 0, k+2)
+	targets := m.targets[:0]
 	for _, idx := range eligible[:k] {
 		targets = append(targets, target{p: m.peers[idx]})
 	}
-	if len(demoted) > 0 && m.cfg.ProbeEvery > 0 && m.round%uint64(m.cfg.ProbeEvery) == 0 {
+	if len(demoted) > 0 && m.round%probeEvery == 0 {
 		idx := demoted[m.rng.Intn(len(demoted))]
 		targets = append(targets, target{p: m.peers[idx]})
 	}
@@ -553,14 +496,15 @@ func (m *Mesh) sampleLocked() []target {
 		}
 	}
 	m.scratch = eligible[:0]
+	m.targets = targets
 	return targets
 }
 
-// deltaLocked selects the relayed digests for one frame, in name order:
-// everything the peer has not evidenced knowing (or the complete table for a
-// full frame), capped at MaxDelta with least-gossiped entries first so fresh
-// rumors win the budget. Callers hold m.mu.
-func (m *Mesh) deltaLocked(p *peer, full bool) []Digest {
+// deltaLocked appends to out the relayed digests for one frame, in name
+// order: everything the peer has not evidenced knowing (or the complete
+// table for a full frame), capped at MaxDelta with least-gossiped entries
+// first so fresh rumors win the budget. Callers hold m.mu.
+func (m *Mesh) deltaLocked(p *peer, full bool, out []Digest) []Digest {
 	cand := m.cand[:0]
 	for _, o := range m.order {
 		i := o.idx
@@ -575,12 +519,6 @@ func (m *Mesh) deltaLocked(p *peer, full bool) []Digest {
 	m.cand = cand
 	if !full && len(cand) > m.cfg.MaxDelta {
 		cand = m.leastGossipedLocked(cand)
-	}
-	var out []Digest
-	if k := len(m.free); k > 0 {
-		out = m.free[k-1]
-		m.free[k-1] = nil
-		m.free = m.free[:k-1]
 	}
 	out = slices.Grow(out, len(cand))
 	for _, i := range cand {
@@ -901,52 +839,8 @@ func (m *Mesh) absorbLocked(p *peer, i int, d *Digest, now time.Time) {
 	m.heard[i] = now
 }
 
-// sender drains one peer's queue, applying the per-attempt deadline and the
-// capped, jittered exponential retry policy.
-func (m *Mesh) sender(p *peer) {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case msg := <-p.queue:
-			m.deliver(p, msg)
-		}
-	}
-}
-
-// deliver attempts one message with bounded retries; a message that exhausts
-// its retry budget is abandoned (the next gossip round supersedes it anyway).
-func (m *Mesh) deliver(p *peer, msg Message) {
-	defer m.release(&msg)
-	backoff := m.cfg.RetryBase
-	for attempt := 0; ; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.SendTimeout)
-		err := m.cfg.Transport.Send(ctx, p.name, &msg)
-		cancel()
-		if err == nil || attempt >= m.cfg.Retries {
-			m.noteSend(p, err)
-			return
-		}
-		p.retries.Add(1)
-		d := backoff
-		if max := m.cfg.Interval; d > max {
-			d = max
-		}
-		d += m.jitter(d / 2)
-		t := m.clk.NewTimer(d)
-		select {
-		case <-m.stop:
-			t.Stop()
-			return
-		case <-t.C():
-		}
-		backoff *= 2
-	}
-}
-
-// noteSend folds one delivery outcome into the counters and the link health
-// score: DemoteAfter consecutive failures demote the link out of the fanout
+// noteSend folds one send outcome into the counters and the link health
+// score: demoteAfter consecutive failures demote the link out of the fanout
 // sample set; a single success re-promotes it.
 func (m *Mesh) noteSend(p *peer, err error) {
 	if err == nil {
@@ -960,22 +854,12 @@ func (m *Mesh) noteSend(p *peer, err error) {
 		return
 	}
 	p.failures.Add(1)
-	if p.consecFail.Add(1) >= int64(m.cfg.DemoteAfter) {
+	if p.consecFail.Add(1) >= demoteAfter {
 		if p.demoted.CompareAndSwap(false, true) {
 			m.demotedLinks.Add(1)
 			m.logf("wdmesh: %s demoted flapping link to %s (%v)", m.cfg.Self, p.name, err)
 		}
 	}
-}
-
-// jitter returns a seeded random duration in [0, max).
-func (m *Mesh) jitter(max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
-	m.rngMu.Lock()
-	defer m.rngMu.Unlock()
-	return time.Duration(m.rng.Int63n(int64(max)))
 }
 
 func (m *Mesh) logf(format string, args ...any) {

@@ -3,6 +3,7 @@ package wdmesh
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -433,45 +434,6 @@ func TestNonMemberFrameCannotConvict(t *testing.T) {
 	}
 }
 
-// TestQueueDropsAndRetries drives a mesh whose peer does not exist: sends
-// fail, retries and failures count up, and a full queue drops instead of
-// blocking the gossip loop.
-func TestQueueDropsAndRetries(t *testing.T) {
-	net := NewMemNetwork(nil, nil)
-	m, err := New(Config{
-		Self:        "a",
-		Peers:       []string{"ghost"},
-		Interval:    5 * time.Millisecond,
-		SendTimeout: 20 * time.Millisecond,
-		Retries:     1,
-		RetryBase:   25 * time.Millisecond, // keep the sender busy past several ticks so the queue overflows
-		QueueCap:    1,
-		DemoteAfter: 1 << 20, // keep the dead link in the sample set; demotion has its own test
-		Transport:   net.Node("a"),
-		Source:      healthySource(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Start()
-	defer m.Close()
-
-	// Suspicion comes from the gossip tick after SuspectAfter, not from the
-	// failed sends, so wait for it too rather than racing it.
-	waitFor(t, 3*time.Second, "send failures, queue drops and suspicion", func() bool {
-		snap := m.Snapshot()
-		return snap.SendFailures > 0 && snap.SendRetries > 0 && snap.QueueDrops > 0 &&
-			snap.PeersSuspect == 1
-	})
-	snap := m.Snapshot()
-	if snap.MessagesSent != 0 {
-		t.Fatalf("sends to a nonexistent peer counted as sent: %d", snap.MessagesSent)
-	}
-	if snap.PeersSuspect != 1 || snap.PeersAlive != 0 {
-		t.Fatalf("ghost peer should be suspect: alive=%d suspect=%d", snap.PeersAlive, snap.PeersSuspect)
-	}
-}
-
 // blackholeTransport hangs every Send until its context deadline, modelling a
 // link that accepts connections and then goes silent.
 type blackholeTransport struct{}
@@ -484,24 +446,21 @@ func (blackholeTransport) SetHandler(func(*Message)) {}
 func (blackholeTransport) Close() error              { return nil }
 
 // TestCloseBoundedUnderBlackhole proves Close returns promptly even when
-// every send hangs: the per-attempt deadline bounds in-flight sends and the
-// stop channel aborts retry backoffs.
+// every send hangs: the round's send budget bounds the send in flight, and
+// the gossip loop checks for Close between rounds.
 func TestCloseBoundedUnderBlackhole(t *testing.T) {
 	m, err := New(Config{
-		Self:        "a",
-		Peers:       []string{"b", "c"},
-		Interval:    5 * time.Millisecond,
-		SendTimeout: 30 * time.Millisecond,
-		Retries:     3,
-		RetryBase:   50 * time.Millisecond,
-		Transport:   blackholeTransport{},
-		Source:      healthySource(),
+		Self:      "a",
+		Peers:     []string{"b", "c"},
+		Interval:  5 * time.Millisecond,
+		Transport: blackholeTransport{},
+		Source:    healthySource(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Start()
-	time.Sleep(20 * time.Millisecond) // let senders get stuck mid-send
+	time.Sleep(20 * time.Millisecond) // let the loop get stuck mid-send
 
 	done := make(chan struct{})
 	go func() {
@@ -513,6 +472,229 @@ func TestCloseBoundedUnderBlackhole(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not return within 2s under a black-holed transport")
 	}
+}
+
+// TestStartedMeshOneGoroutine: a started mesh gossips from exactly one
+// goroutine, however many peers it has, and Close takes it back.
+func TestStartedMeshOneGoroutine(t *testing.T) {
+	net := NewMemNetwork(nil, nil)
+	peers := make([]string, 50)
+	for i := range peers {
+		peers[i] = fmt.Sprintf("p%02d", i)
+	}
+	m, err := New(Config{
+		Self: "a", Peers: peers, Interval: 10 * time.Millisecond,
+		Transport: net.Node("a"), Source: healthySource(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wait for goroutines of earlier tests to finish exiting, so the
+	// baseline holds still.
+	base := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == base {
+			break
+		}
+		base = n
+	}
+	m.Start()
+	if got := runtime.NumGoroutine() - base; got != 1 {
+		t.Fatalf("Start added %d goroutines for %d peers, want 1", got, len(peers))
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "goroutine count back to baseline", func() bool {
+		return runtime.NumGoroutine() <= base
+	})
+}
+
+// hangTransport hangs every Send to one peer until the round's budget
+// expires, like a link that accepts connections and then goes silent, and
+// passes every other Send through.
+type hangTransport struct {
+	Transport
+	hung string
+}
+
+func (h hangTransport) Send(ctx context.Context, peer string, msg *Message) error {
+	if peer == h.hung {
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	return h.Transport.Send(ctx, peer, msg)
+}
+
+// TestHungLinkFailsOnlyItself runs three started meshes next to a peer whose
+// every Send hangs until the round's send budget expires. A frame whose turn
+// comes after the budget is spent is dropped unsent, so over 20+ rounds each
+// healthy link records no send failure and is never demoted, no verdict is
+// raised on a healthy node, and the hung peer is demoted and convicted.
+func TestHungLinkFailsOnlyItself(t *testing.T) {
+	const hung = "h"
+	healthy := []string{"a", "b", "c"}
+	net := NewMemNetwork(nil, nil)
+	var mu sync.Mutex
+	var wrong []Verdict
+	onVerdict := func(v Verdict, raised bool) {
+		if raised && v.Node != hung {
+			mu.Lock()
+			wrong = append(wrong, v)
+			mu.Unlock()
+		}
+	}
+	var meshes []*Mesh
+	rounds := make([]int, len(healthy))
+	for i, self := range healthy {
+		var peers []string
+		for _, p := range append(slices.Clone(healthy), hung) {
+			if p != self {
+				peers = append(peers, p)
+			}
+		}
+		m, err := New(Config{
+			Self: self, Peers: peers,
+			Interval:     20 * time.Millisecond,
+			SuspectAfter: 400 * time.Millisecond,
+			Transport:    hangTransport{net.Node(self), hung},
+			Source: func() Digest {
+				mu.Lock()
+				rounds[i]++
+				mu.Unlock()
+				return Digest{Healthy: true, Worst: watchdog.StatusHealthy}
+			},
+			OnVerdict: onVerdict,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start()
+		t.Cleanup(func() { m.Close() })
+		meshes = append(meshes, m)
+	}
+
+	convicted := func(m *Mesh) bool {
+		for _, v := range m.Verdicts() {
+			if v.Node == hung && v.Kind == VerdictUnreachable {
+				return true
+			}
+		}
+		return false
+	}
+	waitFor(t, 10*time.Second, "20 rounds and a conviction of the hung peer on every node", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for i, m := range meshes {
+			if rounds[i] < 20 || !convicted(m) {
+				return false
+			}
+		}
+		return true
+	})
+	// Snapshot before any Close: a closed node's peers fail to reach it.
+	snaps := make([]*Snapshot, len(meshes))
+	for i, m := range meshes {
+		snaps[i] = m.Snapshot()
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(wrong) > 0 {
+		t.Errorf("verdicts raised on healthy nodes: %+v", wrong)
+	}
+	var drops int64
+	for i, snap := range snaps {
+		for _, p := range snap.Peers {
+			if p.Node != hung {
+				drops += p.QueueDrops
+			}
+			switch {
+			case p.Node == hung && !p.Demoted:
+				t.Errorf("%s: hung link not demoted: %+v", healthy[i], p)
+			case p.Node != hung && (p.SendFailures != 0 || p.Demoted):
+				t.Errorf("%s: healthy link charged with the hung link's failures: %+v", healthy[i], p)
+			}
+		}
+	}
+	if drops == 0 {
+		t.Error("no healthy frame was dropped: the hung link never went first, so the budget rule went untested")
+	}
+}
+
+// TestTCPStartedMeshConvictsClosedNode runs three started meshes over real
+// TCP transports on loopback, the production path, and closes one of them
+// mid-run: both survivors convict it unreachable, the link between them
+// records no send failure and stays undemoted, and every Close is prompt.
+func TestTCPStartedMeshConvictsClosedNode(t *testing.T) {
+	trs := make([]*TCPTransport, 3)
+	for i := range trs {
+		tr, err := ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs[i] = tr
+	}
+	meshes := make([]*Mesh, len(trs))
+	for i, tr := range trs {
+		var peers []string
+		for _, p := range trs {
+			peers = append(peers, p.Addr())
+		}
+		m, err := New(Config{
+			Self: tr.Addr(), Peers: peers,
+			Interval:     20 * time.Millisecond,
+			SuspectAfter: 200 * time.Millisecond,
+			Transport:    tr,
+			Source:       healthySource(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start()
+		t.Cleanup(func() { m.Close() })
+		meshes[i] = m
+	}
+	a, b, victim := meshes[0], meshes[1], trs[2].Addr()
+	waitFor(t, 5*time.Second, "TCP mesh convergence", func() bool {
+		return hasDigests(a, trs[1].Addr(), victim) && hasDigests(b, trs[0].Addr(), victim)
+	})
+
+	closeWithin := func(m *Mesh) {
+		t.Helper()
+		start := time.Now()
+		if err := m.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("Close took %v, want <= 2s", d)
+		}
+	}
+	closeWithin(meshes[2])
+	waitFor(t, 5*time.Second, "unreachable verdict on both survivors", func() bool {
+		for _, m := range []*Mesh{a, b} {
+			found := false
+			for _, v := range m.Verdicts() {
+				found = found || (v.Node == victim && v.Kind == VerdictUnreachable && v.Votes >= 2)
+			}
+			if !found {
+				return false
+			}
+		}
+		return true
+	})
+	for _, pair := range [][2]int{{0, 1}, {1, 0}} {
+		other := trs[pair[1]].Addr()
+		for _, p := range meshes[pair[0]].Snapshot().Peers {
+			if p.Node == other && (p.SendFailures != 0 || p.Demoted || p.Sent == 0) {
+				t.Errorf("survivor link %s>%s: %+v, want sends with no failure", trs[pair[0]].Addr(), other, p)
+			}
+		}
+	}
+	closeWithin(a)
+	closeWithin(b)
 }
 
 // TestTCPTransport runs a two-node mesh over real sockets.

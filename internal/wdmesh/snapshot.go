@@ -20,12 +20,10 @@ type PeerSnapshot struct {
 	Seq uint64 `json:"seq"`
 	// Worst is the peer's self-reported worst checker status.
 	Worst watchdog.Status `json:"worst,omitempty"`
-	// QueueDrops counts messages dropped because the peer's bounded outgoing
-	// queue was full — the backpressure signal.
+	// QueueDrops counts frames to the peer dropped unsent: the round's send
+	// budget ran out before their turn.
 	QueueDrops int64 `json:"queue_drops"`
-	// SendRetries counts retried send attempts to the peer.
-	SendRetries int64 `json:"send_retries"`
-	// SendFailures counts messages abandoned after the retry budget.
+	// SendFailures counts frames to the peer whose send failed.
 	SendFailures int64 `json:"send_failures"`
 	// Sent counts messages successfully handed to the transport.
 	Sent int64 `json:"sent"`
@@ -60,9 +58,8 @@ type Snapshot struct {
 	// FullSyncs counts anti-entropy full-table frames sent.
 	DeltaEntries int64 `json:"delta_entries"`
 	FullSyncs    int64 `json:"full_syncs"`
-	// QueueDrops, SendRetries, SendFailures are totals across peers.
+	// QueueDrops and SendFailures are totals across peers.
 	QueueDrops   int64 `json:"queue_drops"`
-	SendRetries  int64 `json:"send_retries"`
 	SendFailures int64 `json:"send_failures"`
 	// VerdictsRaised and VerdictsCleared count cluster-verdict transitions.
 	VerdictsRaised  int64 `json:"verdicts_raised"`
@@ -108,7 +105,6 @@ func (m *Mesh) Snapshot() *Snapshot {
 			Observation:    m.observationLocked(i, cutoff),
 			LastHeardNS:    -1,
 			QueueDrops:     p.drops.Load(),
-			SendRetries:    p.retries.Load(),
 			SendFailures:   p.failures.Load(),
 			Sent:           p.sent.Load(),
 			ConsecFailures: p.consecFail.Load(),
@@ -130,7 +126,6 @@ func (m *Mesh) Snapshot() *Snapshot {
 			s.PeersDemoted++
 		}
 		s.QueueDrops += ps.QueueDrops
-		s.SendRetries += ps.SendRetries
 		s.SendFailures += ps.SendFailures
 		s.Peers = append(s.Peers, ps)
 	}

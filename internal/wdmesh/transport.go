@@ -15,13 +15,13 @@ import (
 )
 
 // Transport carries gossip messages between mesh nodes. Implementations must
-// honour the context deadline on Send (the mesh's per-attempt send budget)
-// and must stop invoking the handler after Close returns.
+// honour the context deadline on Send (what is left of the round's send
+// budget) and must stop invoking the handler after Close returns.
 type Transport interface {
 	// Send delivers msg to the named peer, or returns an error. A nil error
 	// only means the message was handed to the network; with a lossy link
 	// the receiver may still never see it (that is what suspicion is for).
-	// The sender reuses msg's slices for later frames as soon as Send
+	// The mesh reuses msg's slices for the next round's frames once Send
 	// returns, so Send must not keep msg, or any slice it references, past
 	// its return: marshal it, deliver it, or copy what a later delivery
 	// needs.

@@ -32,13 +32,17 @@
 // table so rejoining nodes are repaired even when deltas would skip them.
 // See DESIGN.md §12 for the suspicion-at-scale state machine.
 //
-// The mesh is built to share fate with nothing: per-peer bounded outgoing
-// queues (overflow increments a drop counter instead of blocking the gossip
-// loop), per-attempt send deadlines, capped exponential retry with seeded
-// jitter, per-peer link health that demotes flapping links out of the sample
-// set, and a Close that is bounded even when every link is black-holed. A
-// full mesh outage degrades the cluster to node-local detection; it never
-// wedges the watchdog driver or the runtime's Drain/Close ordering.
+// The mesh is built to share fate with nothing. There is one gossip round,
+// run by Step on the caller's schedule or by the one goroutine Start
+// launches, and it sends its frames inline under one budget (the Interval,
+// capped at 2s). A frame whose turn comes after the budget is spent is
+// dropped unsent and counted against its own peer, so a hung link never
+// fails the links sampled after it. Per-peer link health demotes flapping
+// links out of the sample set, there are no mesh-level retries (the next
+// round supersedes a lost frame), and Close is bounded even when every link
+// is black-holed. A full mesh outage degrades the cluster to node-local
+// detection; it never wedges the watchdog driver or the runtime's
+// Drain/Close ordering.
 package wdmesh
 
 import (

@@ -45,7 +45,7 @@ func writeMeshMetrics(w io.Writer, m *wdmesh.Snapshot) {
 	fmt.Fprintf(w, "# HELP wdmesh_messages_received_total Gossip messages received.\n")
 	fmt.Fprintf(w, "# TYPE wdmesh_messages_received_total counter\n")
 	fmt.Fprintf(w, "wdmesh_messages_received_total %d\n", m.MessagesReceived)
-	fmt.Fprintf(w, "# HELP wdmesh_queue_drops_total Messages dropped on full per-peer queues.\n")
+	fmt.Fprintf(w, "# HELP wdmesh_queue_drops_total Gossip frames dropped unsent: the round's send budget ran out.\n")
 	fmt.Fprintf(w, "# TYPE wdmesh_queue_drops_total counter\n")
 	fmt.Fprintf(w, "wdmesh_queue_drops_total %d\n", m.QueueDrops)
 	fmt.Fprintf(w, "# HELP wdmesh_delta_entries_total Relayed digests piggybacked into gossip frames.\n")
@@ -57,10 +57,7 @@ func writeMeshMetrics(w io.Writer, m *wdmesh.Snapshot) {
 	fmt.Fprintf(w, "# HELP wdmesh_peers_demoted Links currently demoted for flapping.\n")
 	fmt.Fprintf(w, "# TYPE wdmesh_peers_demoted gauge\n")
 	fmt.Fprintf(w, "wdmesh_peers_demoted %d\n", m.PeersDemoted)
-	fmt.Fprintf(w, "# HELP wdmesh_send_retries_total Retried send attempts.\n")
-	fmt.Fprintf(w, "# TYPE wdmesh_send_retries_total counter\n")
-	fmt.Fprintf(w, "wdmesh_send_retries_total %d\n", m.SendRetries)
-	fmt.Fprintf(w, "# HELP wdmesh_send_failures_total Messages abandoned after the retry budget.\n")
+	fmt.Fprintf(w, "# HELP wdmesh_send_failures_total Gossip frames whose send failed.\n")
 	fmt.Fprintf(w, "# TYPE wdmesh_send_failures_total counter\n")
 	fmt.Fprintf(w, "wdmesh_send_failures_total %d\n", m.SendFailures)
 	fmt.Fprintf(w, "# HELP wdmesh_verdicts_raised_total Cluster verdicts raised.\n")
@@ -92,16 +89,17 @@ func writeMeshMetrics(w io.Writer, m *wdmesh.Snapshot) {
 		}
 		fmt.Fprintf(w, "wdmesh_peer_observation{peer=%q} %d\n", escapeLabel(p.Node), code)
 	}
-	// Per-peer drop counters carry the backpressure signal; only peers that
-	// have dropped at least once get a series, so cardinality stays bounded
-	// by misbehaving links rather than cluster size.
+	// Per-peer drop counters show which links lost frames to a spent send
+	// budget; only peers that have dropped at least once get a series, so
+	// cardinality stays bounded by misbehaving links rather than cluster
+	// size.
 	var dropped bool
 	for _, p := range m.Peers {
 		if p.QueueDrops == 0 {
 			continue
 		}
 		if !dropped {
-			fmt.Fprintf(w, "# HELP wdmesh_peer_dropped_total Messages dropped on this peer's full send queue.\n")
+			fmt.Fprintf(w, "# HELP wdmesh_peer_dropped_total Gossip frames to this peer dropped unsent: the round's send budget ran out.\n")
 			fmt.Fprintf(w, "# TYPE wdmesh_peer_dropped_total counter\n")
 			dropped = true
 		}
